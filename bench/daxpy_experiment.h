@@ -24,8 +24,8 @@ struct DaxpyResult {
   std::uint64_t bus_memory = 0;     // system bus data transactions
   std::uint64_t coherent_events = 0;
   bool verified = false;            // y == y0 + reps * a * x
-  // End-of-run observability-registry snapshot (engine-determinism tests
-  // compare its fingerprint across execution engines).
+  // End-of-run observability-registry snapshot (the micro suite reports
+  // its fingerprint per quantum).
   obs::Snapshot snapshot;
 };
 
@@ -36,8 +36,7 @@ struct DaxpyParams {
   int reps = 40;         // outer j-loop trips (paper: 1,000,000)
   int warmup_reps = 4;   // excluded from the timed region
   machine::MachineConfig machine = machine::SmpServerConfig(4);
-  // Host execution engine (results are bit-identical across engines);
-  // honours COBRA_ENGINE, e.g. "parallel:4" or "serial@512".
+  // Execution-engine quantum; honours COBRA_ENGINE, e.g. "serial@512".
   machine::EngineConfig engine = machine::EngineConfigFromEnv();
 };
 

@@ -66,8 +66,7 @@ struct NpbOptions {
   bool static_excl_binary = false;
   // Ablation hook applied to the COBRA configuration before attach.
   std::function<void(core::CobraConfig&)> tweak_config;
-  // Host execution engine (results are bit-identical across engines);
-  // honours COBRA_ENGINE, e.g. "parallel:4" or "serial@512".
+  // Execution-engine quantum; honours COBRA_ENGINE, e.g. "serial@512".
   machine::EngineConfig engine = machine::EngineConfigFromEnv();
   // Sampled simulation (perfmon/sample.h): when enabled, the benchmark runs
   // twice — a fast-forward BBV profiling pass, then a sampled pass that

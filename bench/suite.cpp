@@ -1150,7 +1150,7 @@ Json RunSampledAccuracy(const SuiteOptions& options) {
   return e;
 }
 
-// --- Micro suite: execution-engine behaviour -------------------------------
+// --- Micro suite: execution-engine quantum ---------------------------------
 
 DaxpyParams MicroDaxpyParams(const SuiteOptions& options) {
   DaxpyParams params;
@@ -1160,47 +1160,6 @@ DaxpyParams MicroDaxpyParams(const SuiteOptions& options) {
   params.reps = options.quick ? 8 : 20;
   params.warmup_reps = 2;
   return params;
-}
-
-constexpr const char* kDescEngineEquivalence =
-    "registry fingerprint of the same DAXPY run under the serial and "
-    "parallel engines (must be bit-identical)";
-
-Json RunEngineEquivalence(const SuiteOptions& options) {
-  Json e = BeginExperiment("engine_equivalence", "DESIGN.md §7",
-                           kDescEngineEquivalence, "smp4", 4);
-  struct Spec {
-    const char* name;
-    machine::EngineKind kind;
-    int host_threads;
-  };
-  const Spec specs[] = {{"serial", machine::EngineKind::kSerial, 0},
-                        {"parallel:2", machine::EngineKind::kParallel, 2},
-                        {"parallel:4", machine::EngineKind::kParallel, 4}};
-  Json rows = Json::Array();
-  std::uint64_t first_fp = 0;
-  bool identical = true;
-  for (const Spec& spec : specs) {
-    DaxpyParams params = MicroDaxpyParams(options);
-    params.engine.kind = spec.kind;
-    params.engine.host_threads = spec.host_threads;
-    params.engine.quantum = options.engine.quantum;
-    const DaxpyResult r = RunDaxpyExperiment(params);
-    const std::uint64_t fp = r.snapshot.Fingerprint();
-    if (rows.size() == 0) first_fp = fp;
-    identical = identical && fp == first_fp;
-    Json row = Json::Object();
-    row.Set("engine", spec.name);
-    row.Set("cycles", static_cast<std::uint64_t>(r.cycles));
-    row.Set("registry_fingerprint", FingerprintHex(fp));
-    row.Set("verified", r.verified);
-    rows.Append(std::move(row));
-  }
-  e.Set("rows", std::move(rows));
-  Json derived = Json::Object();
-  derived.Set("identical", identical);
-  e.Set("derived", std::move(derived));
-  return e;
 }
 
 constexpr const char* kDescQuantumSweep =
@@ -1253,7 +1212,6 @@ constexpr ExperimentDef kPaperExperiments[] = {
 };
 
 constexpr ExperimentDef kMicroExperiments[] = {
-    {"engine_equivalence", RunEngineEquivalence, kDescEngineEquivalence},
     {"quantum_sweep", RunQuantumSweep, kDescQuantumSweep},
 };
 
@@ -1265,7 +1223,7 @@ Json RunSuite(const char* suite_name, const ExperimentDef (&defs)[N],
   doc.Set("generator", "cobra_bench");
   doc.Set("suite", suite_name);
   doc.Set("quick", options.quick);
-  doc.Set("engine", EngineSpecString(options.engine));
+  doc.Set("engine", machine::FormatEngineSpec(options.engine));
   // The ambient coherence protocol (COBRA_PROTOCOL): every preset-built
   // machine in the suite runs under it. protocol_matrix additionally pins
   // each protocol explicitly, regardless of this value.
@@ -1315,19 +1273,6 @@ std::vector<ExperimentInfo> Infos(const ExperimentDef (&defs)[N]) {
 }
 
 }  // namespace
-
-std::string EngineSpecString(const machine::EngineConfig& config) {
-  std::string spec =
-      config.kind == machine::EngineKind::kSerial ? "serial" : "parallel";
-  if (config.kind == machine::EngineKind::kParallel &&
-      config.host_threads > 0) {
-    spec += ":" + std::to_string(config.host_threads);
-  }
-  if (config.quantum != machine::EngineConfig{}.quantum) {
-    spec += "@" + std::to_string(config.quantum);
-  }
-  return spec;
-}
 
 std::vector<std::string> PaperExperimentNames() {
   return Names(kPaperExperiments);

@@ -39,8 +39,8 @@ struct SuiteOptions {
   std::string only;
   // Progress lines on stderr (one per experiment) for interactive runs.
   bool echo = false;
-  // Host execution engine for every simulated run (results are
-  // bit-identical across engines); honours COBRA_ENGINE.
+  // Execution-engine quantum for every simulated run; honours
+  // COBRA_ENGINE.
   machine::EngineConfig engine = machine::EngineConfigFromEnv();
   // Sampled simulation (cobra_bench --sample): the NPB matrices run the
   // two-pass BBV/checkpoint pipeline (perfmon/sample.h) and report
@@ -48,10 +48,6 @@ struct SuiteOptions {
   // COBRA_SAMPLE="<interval>[:<phases>]" for the schedule; same schema.
   bool sample = false;
 };
-
-// Canonical spec string for an engine config ("serial", "parallel:4@2048");
-// inverse of machine::ParseEngineSpec, recorded in the report header.
-std::string EngineSpecString(const machine::EngineConfig& config);
 
 // Experiment names in run order (for the --only filter).
 std::vector<std::string> PaperExperimentNames();
@@ -65,7 +61,7 @@ struct ExperimentInfo {
 std::vector<ExperimentInfo> PaperExperimentList();
 std::vector<ExperimentInfo> MicroExperimentList();
 
-// Runs the paper-conformance suite / the engine microbenchmarks and
+// Runs the paper-conformance suite / the quantum microbenchmark and
 // returns the full report document described above.
 support::Json RunPaperSuite(const SuiteOptions& options = {});
 support::Json RunMicroSuite(const SuiteOptions& options = {});

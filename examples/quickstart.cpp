@@ -10,13 +10,14 @@
 // 5. Compare against an identical run without COBRA.
 //
 // Build & run:  ./build/examples/quickstart
-// Set COBRA_ENGINE=parallel[:N] to run the simulation on N host threads —
-// the cycle counts and COBRA decisions are bit-identical to the serial run.
+// Set COBRA_ENGINE=serial@Q to run at a different engine quantum Q — a
+// different (equally deterministic) timing model.
 #include <cstdio>
 
 #include "cobra/cobra.h"
 #include "kgen/emitters.h"
 #include "kgen/program.h"
+#include "machine/engine.h"
 #include "machine/machine.h"
 #include "rt/team.h"
 
@@ -60,10 +61,9 @@ RunResult RunDaxpy(bool with_cobra) {
   }
 
   // --- 4. The OpenMP-style outer loop ------------------------------------
-  // The engine only affects host wall-clock, never simulated results;
-  // COBRA_ENGINE=parallel[:N] fans the cores out over N host threads.
-  rt::Team team(&machine, 4, machine::EngineConfigFromEnv());
-  std::printf("  [engine: %s]\n", team.engine_name());
+  const machine::EngineConfig engine = machine::EngineConfigFromEnv();
+  rt::Team team(&machine, 4, engine);
+  std::printf("  [engine: %s]\n", machine::FormatEngineSpec(engine).c_str());
   const Cycle start = machine.GlobalTime();
   for (int rep = 0; rep < 40; ++rep) {
     team.Run(daxpy.entry, [&](int tid, cpu::RegisterFile& regs) {

@@ -90,7 +90,7 @@ class Core final : public HpmSource {
   void Step();
 
   // Exact, side-effect-free probe: would the next Step() issue a coherence
-  // fabric transaction? The execution engines (machine/engine.h) call this
+  // fabric transaction? The execution engine (machine/engine.h) calls this
   // at every step boundary to end a core-private segment just before a
   // fabric access, which is then committed in canonical (cycle, cpu-id)
   // order while all other cores are quiescent. Mirrors DoMemoryOpPlan's
@@ -98,7 +98,7 @@ class Core final : public HpmSource {
   // decision-for-decision.
   bool NextStepNeedsFabric() const;
 
-  // Segment hot loop for the execution engines: equivalent to
+  // Segment hot loop for the execution engine: equivalent to
   //   while (!halted() && now() < q_end && !NextStepNeedsFabric()) Step();
   // but looks up each slot's exec plan once (probe and step share the
   // classification). The caller is expected to hold the cache stack's

@@ -1,14 +1,11 @@
 #include "machine/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
-#include <mutex>
+#include <limits>
 #include <string>
-#include <thread>
 
 #include "cpu/core.h"
 #include "machine/machine.h"
@@ -17,6 +14,10 @@
 
 namespace cobra::machine {
 namespace {
+
+constexpr const char* kSpecGrammar =
+    "engine spec must be serial[@Q] with Q a positive cycle count";
+constexpr Cycle kMaxCycle = std::numeric_limits<Cycle>::max();
 
 // Advances one core to the end of its current segment: consecutive steps
 // that stay inside the quantum window and touch only core-private state.
@@ -36,12 +37,13 @@ struct PendingCommit {
 // One quantum window of the segment/commit machinery: alternate segment
 // phases with canonical commits until every core has halted or reached the
 // quantum edge.
-template <typename SegmentPhase>
-void RunCommitRounds(const std::vector<cpu::Core*>& running, Cycle q_end,
-                     SegmentPhase& segments, EngineCounters& counters) {
+void RunCommitRounds(Machine& m, const std::vector<cpu::Core*>& running,
+                     Cycle q_end, EngineCounters& counters) {
   std::vector<PendingCommit> pending;
   for (;;) {
-    segments(running, q_end);
+    for (cpu::Core* core : running) {
+      RunSegment(*core, m.stack(core->id()), q_end);
+    }
     ++counters.segment_phases;
     counters.segments += running.size();
 
@@ -68,14 +70,27 @@ void RunCommitRounds(const std::vector<cpu::Core*>& running, Cycle q_end,
   }
 }
 
-// The round/commit skeleton shared by both engines. `segments` runs the
-// segment phase over `running` (serial: an in-place loop; parallel: fanned
-// out to the worker pool) and must not return until every core has reached
-// a segment boundary.
-template <typename SegmentPhase>
-void RunRounds(Machine& m, const std::vector<CpuId>& active, Cycle quantum,
-               SegmentPhase&& segments) {
-  COBRA_CHECK_MSG(quantum > 0, "engine quantum must be positive");
+// Parses a decimal quantum: one or more digits, no sign, no overflow.
+Cycle ParseQuantum(std::string_view text) {
+  COBRA_CHECK_MSG(!text.empty(), kSpecGrammar);
+  Cycle value = 0;
+  for (char c : text) {
+    COBRA_CHECK_MSG(c >= '0' && c <= '9', kSpecGrammar);
+    const Cycle digit = static_cast<Cycle>(c - '0');
+    COBRA_CHECK_MSG(value <= (kMaxCycle - digit) / 10,
+                    "engine spec: quantum does not fit in 64 bits "
+                    "(spec must be serial[@Q])");
+    value = value * 10 + digit;
+  }
+  COBRA_CHECK_MSG(value > 0, kSpecGrammar);
+  return value;
+}
+
+}  // namespace
+
+void Run(Machine& m, const std::vector<CpuId>& active,
+         const EngineConfig& config) {
+  COBRA_CHECK_MSG(config.quantum > 0, "engine quantum must be positive");
   std::vector<cpu::Core*> running;
   running.reserve(active.size());
   for (CpuId cpu : active) {
@@ -104,23 +119,27 @@ void RunRounds(Machine& m, const std::vector<CpuId>& active, Cycle quantum,
   while (!running.empty()) {
     Cycle window = running.front()->now();
     for (cpu::Core* core : running) window = std::min(window, core->now());
-    const Cycle q_end = window + quantum;
+    // Saturating: a quantum near 2^64 must not wrap the window end below
+    // the core clocks (no core would ever advance).
+    const Cycle q_end = config.quantum > kMaxCycle - window
+                            ? kMaxCycle
+                            : window + config.quantum;
 
     if (running.size() == 1) {
       // One runnable core: program order *is* canonical commit order, so
       // the probe/commit machinery adds nothing — run straight to the
       // quantum edge. The step stream is identical to the segmented path
-      // (probes never change state), so both engines share this exactly.
-      // RunQuantum routes through the superblock executor when a
-      // translation cache is attached (fabric-bound steps commit inline).
+      // (probes never change state). RunQuantum routes through the
+      // superblock executor when a translation cache is attached
+      // (fabric-bound steps commit inline).
       running.front()->RunQuantum(q_end);
     } else {
-      RunCommitRounds(running, q_end, segments, counters);
+      RunCommitRounds(m, running, q_end, counters);
     }
     ++counters.quanta;
     if (obs::TraceSink* trace = m.trace()) {
       trace->Complete(m.trace_pid(), m.trace_engine_tid(), "engine",
-                      "quantum", window, quantum);
+                      "quantum", window, config.quantum);
     }
 
     // Round tasks (deferred sample delivery into COBRA, whose optimizer
@@ -151,175 +170,19 @@ void RunRounds(Machine& m, const std::vector<CpuId>& active, Cycle quantum,
   m.AccumulateHostPerf(delta);
 }
 
-class SerialEngine final : public ExecutionEngine {
- public:
-  explicit SerialEngine(const EngineConfig& config) : config_(config) {}
-
-  const char* name() const override { return "serial"; }
-
-  void Run(Machine& m, const std::vector<CpuId>& active) override {
-    RunRounds(m, active, config_.quantum,
-              [&m](const std::vector<cpu::Core*>& running, Cycle q_end) {
-                for (cpu::Core* core : running) {
-                  RunSegment(*core, m.stack(core->id()), q_end);
-                }
-              });
-  }
-
- private:
-  EngineConfig config_;
-};
-
-// Persistent host thread pool. Segment jobs are claimed from a shared
-// atomic index; the coordinating thread participates, so `host_threads`
-// includes it. Coordination is condition-variable based (no spinning), so
-// the engine degrades gracefully when the host is oversubscribed.
-class ParallelEngine final : public ExecutionEngine {
- public:
-  explicit ParallelEngine(const EngineConfig& config) : config_(config) {
-    int n = config.host_threads;
-    if (n <= 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      n = hw == 0 ? 1 : static_cast<int>(hw);
-    }
-    host_threads_ = n;
-    const int workers = n - 1;  // the coordinator is thread 0
-    workers_.reserve(static_cast<std::size_t>(workers));
-    for (int i = 0; i < workers; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
-
-  ~ParallelEngine() override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    work_cv_.notify_all();
-    for (std::thread& t : workers_) t.join();
-  }
-
-  const char* name() const override { return "parallel"; }
-
-  void Run(Machine& m, const std::vector<CpuId>& active) override {
-    RunRounds(m, active, config_.quantum,
-              [this, &m](const std::vector<cpu::Core*>& running, Cycle q_end) {
-                RunSegmentPhase(m, running, q_end);
-              });
-  }
-
- private:
-  void RunSegmentPhase(Machine& m, const std::vector<cpu::Core*>& running,
-                       Cycle q_end) {
-    if (workers_.empty() || running.size() == 1) {
-      for (cpu::Core* core : running) {
-        RunSegment(*core, m.stack(core->id()), q_end);
-      }
-      return;
-    }
-    next_.store(0, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      machine_ = &m;
-      cores_ = &running;
-      q_end_ = q_end;
-      outstanding_ = static_cast<int>(workers_.size());
-      ++generation_;
-    }
-    work_cv_.notify_all();
-    DrainQueue();
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return outstanding_ == 0; });
-    cores_ = nullptr;
-    machine_ = nullptr;
-  }
-
-  void DrainQueue() {
-    const std::vector<cpu::Core*>& cores = *cores_;
-    for (;;) {
-      const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= cores.size()) return;
-      cpu::Core* core = cores[i];
-      RunSegment(*core, machine_->stack(core->id()), q_end_);
-    }
-  }
-
-  void WorkerLoop() {
-    std::uint64_t seen = 0;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        work_cv_.wait(lock,
-                      [this, seen] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-      }
-      DrainQueue();
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (--outstanding_ == 0) done_cv_.notify_all();
-      }
-    }
-  }
-
-  EngineConfig config_;
-  int host_threads_ = 1;
-  std::vector<std::thread> workers_;
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t generation_ = 0;
-  int outstanding_ = 0;
-  bool stop_ = false;
-
-  std::atomic<std::size_t> next_{0};
-  Machine* machine_ = nullptr;
-  const std::vector<cpu::Core*>* cores_ = nullptr;
-  Cycle q_end_ = 0;
-};
-
-std::uint64_t ParseNumber(std::string_view text, const char* what) {
-  COBRA_CHECK_MSG(!text.empty(), "engine spec: missing number");
-  std::uint64_t value = 0;
-  for (char c : text) {
-    COBRA_CHECK_MSG(c >= '0' && c <= '9', what);
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
-}
-
-}  // namespace
-
-std::unique_ptr<ExecutionEngine> MakeEngine(const EngineConfig& config) {
-  if (config.kind == EngineKind::kParallel) {
-    return std::make_unique<ParallelEngine>(config);
-  }
-  return std::make_unique<SerialEngine>(config);
-}
-
 EngineConfig ParseEngineSpec(std::string_view spec) {
   EngineConfig config;
   if (const auto at = spec.find('@'); at != std::string_view::npos) {
-    config.quantum = static_cast<Cycle>(
-        ParseNumber(spec.substr(at + 1), "engine spec: bad quantum"));
-    COBRA_CHECK_MSG(config.quantum > 0, "engine spec: quantum must be > 0");
+    config.quantum = ParseQuantum(spec.substr(at + 1));
     spec = spec.substr(0, at);
   }
-  if (spec.empty() || spec == "serial") return config;
-  COBRA_CHECK_MSG(spec.substr(0, 8) == "parallel",
-                  "engine spec must be serial | parallel[:N] [@quantum]");
-  config.kind = EngineKind::kParallel;
-  spec.remove_prefix(8);
-  if (!spec.empty()) {
-    COBRA_CHECK_MSG(spec.front() == ':',
-                    "engine spec must be serial | parallel[:N] [@quantum]");
-    config.host_threads = static_cast<int>(
-        ParseNumber(spec.substr(1), "engine spec: bad thread count"));
-    COBRA_CHECK_MSG(config.host_threads > 0,
-                    "engine spec: thread count must be > 0");
-  }
+  COBRA_CHECK_MSG(spec.empty() || spec == "serial", kSpecGrammar);
   return config;
+}
+
+std::string FormatEngineSpec(const EngineConfig& config) {
+  if (config.quantum == EngineConfig{}.quantum) return "serial";
+  return "serial@" + std::to_string(config.quantum);
 }
 
 EngineConfig EngineConfigFromEnv() {

@@ -1,8 +1,6 @@
-// Execution engines: the simulator's main scheduling loop, split behind one
-// interface into a serial and a host-parallel implementation.
+// The execution engine: the simulator's main scheduling loop.
 //
-// Both engines implement the *same* quantum/commit execution model, so they
-// are bit-identical by construction:
+// Simulated time advances in a quantum/segment/commit model:
 //
 //   * Time is divided into quanta of `EngineConfig::quantum` simulated
 //     cycles, starting at the minimum core clock of the running set.
@@ -11,26 +9,25 @@
 //     race-free functional memory). A core stops at a step boundary when it
 //     leaves the quantum window, halts, or its next step would issue a
 //     coherence-fabric transaction (`cpu::Core::NextStepNeedsFabric`, an
-//     exact side-effect-free probe). Segments of different cores are
-//     independent, so the parallel engine fans them out to host threads.
+//     exact side-effect-free probe).
 //   * At the barrier that ends the segment phase, the cores stopped on a
 //     fabric access are committed one at a time in canonical
 //     (stop-cycle, cpu-id) order: the pending step executes whole — bus or
 //     directory transaction, snoops of the other (quiescent) stacks, NUMA
-//     first-touch page homing, victim writebacks — exactly as it would have
-//     under the original single-threaded scheduler.
+//     first-touch page homing, victim writebacks. Segment phases and commit
+//     batches alternate until every core has halted or reached the quantum
+//     edge.
 //   * Deferred round tasks (sample-batch delivery to COBRA's monitoring
-//     threads, which may rewrite the binary image) run after every commit
-//     batch, while all cores are quiescent, in cpu-id order.
+//     threads, which may rewrite the binary image) run once per quantum, at
+//     the quantum boundary, while all cores are quiescent, in registration
+//     order.
 //
-// The serial engine executes the segment phase as a plain loop; the
-// parallel engine executes it on a persistent pool of host threads. Every
-// decision that affects simulated state is a function of simulated state
-// alone — never of host scheduling — which is the determinism argument
-// (see DESIGN.md, "Parallel engine").
+// Every decision that affects simulated state is a function of simulated
+// state alone, so a run is bit-reproducible (see DESIGN.md §5, "Execution
+// engine").
 #pragma once
 
-#include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -40,49 +37,29 @@ namespace cobra::machine {
 
 class Machine;
 
-enum class EngineKind { kSerial, kParallel };
-
 struct EngineConfig {
-  EngineKind kind = EngineKind::kSerial;
-
   // Quantum length in simulated cycles. This is a *semantic* parameter of
   // the execution model (it bounds how far a core may run ahead between
-  // barriers), shared by both engines: serial@Q and parallel@Q are
-  // bit-identical, but different Q are distinct (equally valid) timing
-  // models. The default is large enough to amortize barrier costs yet small
-  // enough that cores cannot starve each other of coherence responses.
+  // barriers and sets the round-task cadence): different Q are distinct
+  // (equally valid, equally deterministic) timing models. The default is
+  // large enough to amortize barrier costs yet small enough that cores
+  // cannot starve each other of coherence responses.
   Cycle quantum = 1024;
-
-  // Parallel engine only: number of host threads running segments
-  // (including the coordinating thread). 0 = one per hardware thread.
-  int host_threads = 0;
 };
 
-class ExecutionEngine {
- public:
-  virtual ~ExecutionEngine() = default;
+// Runs the given (already Start()ed) cores of `machine` until all have
+// halted.
+void Run(Machine& machine, const std::vector<CpuId>& active,
+         const EngineConfig& config);
 
-  ExecutionEngine(const ExecutionEngine&) = delete;
-  ExecutionEngine& operator=(const ExecutionEngine&) = delete;
-
-  virtual const char* name() const = 0;
-
-  // Runs the given (already Start()ed) cores until all have halted.
-  virtual void Run(Machine& machine, const std::vector<CpuId>& active) = 0;
-
- protected:
-  ExecutionEngine() = default;
-};
-
-std::unique_ptr<ExecutionEngine> MakeEngine(const EngineConfig& config = {});
-
-// Parses an engine spec string:
-//   "serial"            the serial engine (default quantum)
-//   "parallel"          the parallel engine, one thread per hardware thread
-//   "parallel:N"        the parallel engine with N host threads
-// Either form may carry an "@Q" suffix overriding the quantum, e.g.
-// "parallel:4@2048". Aborts on a malformed spec.
+// Parses an engine spec string of the form "serial[@Q]": "serial" runs at
+// the default quantum, "serial@Q" (or just "@Q") at quantum Q > 0, which
+// must fit in 64 bits. Empty means "serial". Aborts on a malformed spec.
 EngineConfig ParseEngineSpec(std::string_view spec);
+
+// The inverse of ParseEngineSpec: "serial" at the default quantum,
+// "serial@Q" otherwise.
+std::string FormatEngineSpec(const EngineConfig& config);
 
 // The bench/examples knob: reads the COBRA_ENGINE environment variable
 // (spec as above; unset or empty means "serial").

@@ -13,9 +13,10 @@
 namespace cobra::machine {
 
 namespace {
-// Process-wide HostPerf accumulators. Relaxed atomics: engines write from
-// their coordinating threads, the bench driver reads between experiments;
-// no ordering is needed beyond the totals being eventually consistent.
+// Process-wide HostPerf accumulators. Relaxed atomics: every engine run adds
+// to them and the bench driver reads them between experiments; they stay
+// atomic so machines driven from different host threads can share them. No
+// ordering is needed beyond the totals being eventually consistent.
 struct GlobalHostCounters {
   std::atomic<std::uint64_t> wall_ns{0};
   std::atomic<std::uint64_t> runs{0};
@@ -329,8 +330,7 @@ void Machine::SyncCores() {
 Machine::~Machine() = default;
 
 void Machine::RunUntilAllHalted(const std::vector<CpuId>& active) {
-  if (!default_engine_) default_engine_ = MakeEngine(EngineConfig{});
-  default_engine_->Run(*this, active);
+  Run(*this, active, EngineConfig{});
 }
 
 int Machine::AddRoundTask(std::function<void()> task) {

@@ -3,12 +3,11 @@
 //
 // Owns the main memory, one cache stack + core per CPU, and the coherence
 // fabric (snooping bus for the 4-way Itanium 2 SMP server, directory over a
-// fat-tree for the SGI Altix cc-NUMA system).  Cores execute under a
-// pluggable ExecutionEngine (machine/engine.h): simulated time advances in
-// fixed cycle quanta, cores run core-private segments between barriers, and
-// every coherence transaction commits in canonical (cycle, cpu-id) order —
-// so every experiment is bit-reproducible whether the engine runs segments
-// on one host thread or many.
+// fat-tree for the SGI Altix cc-NUMA system).  Cores execute under the
+// execution engine (machine/engine.h): simulated time advances in fixed
+// cycle quanta, cores run core-private segments between barriers, and every
+// coherence transaction commits in canonical (cycle, cpu-id) order — so
+// every experiment is bit-reproducible.
 #pragma once
 
 #include <cstdint>
@@ -41,14 +40,11 @@ class TranslationCache;
 
 namespace cobra::machine {
 
-class ExecutionEngine;
-
 enum class FabricKind { kSnoopBus, kDirectory };
 
-// Scheduling-loop counters, maintained by the execution engines on the
-// coordinating thread only. Every field is a function of simulated state
-// alone, so serial and parallel engines (at equal quantum) agree exactly —
-// the registry-fingerprint determinism test relies on this.
+// Scheduling-loop counters, maintained by the execution engine. Every field
+// is a function of simulated state alone, so two runs at equal quantum
+// agree exactly — the registry-fingerprint determinism test relies on this.
 struct EngineCounters {
   std::uint64_t quanta = 0;          // quantum windows executed
   std::uint64_t segment_phases = 0;  // segment fan-outs (barriers)
@@ -57,11 +53,11 @@ struct EngineCounters {
   std::uint64_t rounds = 0;          // round-task batches run
 };
 
-// Host-side performance accounting: how much simulated work the engines did
-// and how long it took in host wall-clock. Written by the execution engines
-// on the coordinating thread around each Run(); purely observational (never
-// read by simulation) and exposed through host-class registry probes that
-// are excluded from determinism fingerprints (see obs::Metric::host).
+// Host-side performance accounting: how much simulated work the engine did
+// and how long it took in host wall-clock. Written by the execution engine
+// around each Run(); purely observational (never read by simulation) and
+// exposed through host-class registry probes that are excluded from
+// determinism fingerprints (see obs::Metric::host).
 struct HostPerf {
   std::uint64_t wall_ns = 0;     // host wall-clock inside engine runs
   std::uint64_t runs = 0;        // engine Run() invocations
@@ -156,8 +152,8 @@ class Machine {
   // Barrier: advances every core to GlobalTime().
   void SyncCores();
 
-  // Runs the given cores until all have halted, under a default serial
-  // ExecutionEngine (rt::Team accepts an EngineConfig for the others).
+  // Runs the given cores until all have halted, under the execution engine
+  // at the default quantum (rt::Team accepts an EngineConfig for others).
   void RunUntilAllHalted(const std::vector<CpuId>& active);
 
   // Drops all cached lines and statistics; clears fabric counters and each
@@ -193,8 +189,8 @@ class Machine {
   // --- Fast-forward (sampled simulation) -------------------------------------
   // Switches every core between detailed timing simulation and
   // functional-only fast-forward (see cpu::Core::SetFastForward). Only legal
-  // while cores are quiescent — engines call it from round tasks at quantum
-  // boundaries, or callers flip it between runs.
+  // while cores are quiescent — round tasks call it at quantum boundaries,
+  // or callers flip it between runs.
   void SetFastForward(bool on);
   bool fast_forward() const { return fast_forward_; }
   // Bumped on every effective mode flip. Observers whose measurements span
@@ -205,14 +201,15 @@ class Machine {
   }
 
   // --- Engine integration ----------------------------------------------------
-  // True while an ExecutionEngine is driving the cores. Subsystems that
+  // True while the execution engine is driving the cores. Subsystems that
   // deliver callbacks into shared state (e.g. perfmon sample batches, which
   // reach COBRA's optimizer and may rewrite the binary image) must defer
   // delivery to a round task while an engine is active.
   bool engine_active() const { return engine_depth_ > 0; }
 
-  // Round tasks run at every engine commit barrier, while all cores are
-  // quiescent, in registration order. Returns an id for RemoveRoundTask.
+  // Round tasks run once per engine quantum, at the quantum boundary,
+  // while all cores are quiescent, in registration order. Returns an id
+  // for RemoveRoundTask.
   int AddRoundTask(std::function<void()> task);
   void RemoveRoundTask(int id);
   void RunRoundTasks();
@@ -224,7 +221,7 @@ class Machine {
   void EngineEnter();
   void EngineExit();
 
-  // RAII marker used by engines around a run (see engine_active()).
+  // RAII marker used by the engine around a run (see engine_active()).
   class EngineScope {
    public:
     explicit EngineScope(Machine& m) : m_(m) { m_.EngineEnter(); }
@@ -247,8 +244,7 @@ class Machine {
   std::vector<std::unique_ptr<mem::CacheStack>> stacks_;
   std::vector<std::unique_ptr<cpu::Core>> cores_;
   // Per-core trace-JIT translation caches (empty when COBRA_TJIT=off).
-  // Per-core because superblocks embed core-local chain pointers and the
-  // caches are touched inside parallel segment phases.
+  // Per-core because superblocks embed core-local chain pointers.
   std::vector<std::unique_ptr<tjit::TranslationCache>> tjit_caches_;
 
   obs::Registry registry_;
@@ -257,7 +253,6 @@ class Machine {
   obs::TraceSink* trace_ = nullptr;
   int trace_pid_ = 0;
 
-  std::unique_ptr<ExecutionEngine> default_engine_;  // lazily created
   bool fast_forward_ = false;
   std::uint64_t fast_forward_generation_ = 0;
   int engine_depth_ = 0;

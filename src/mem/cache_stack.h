@@ -34,9 +34,9 @@ class CacheStack {
 
   void AttachFabric(CoherenceFabric* fabric) { fabric_ = fabric; }
 
-  // Timeline sink for coherence transactions (nullptr disables). Safe even
-  // under the parallel engine: FabricRequest only runs at commit barriers,
-  // where stacks are serviced one at a time in canonical order.
+  // Timeline sink for coherence transactions (nullptr disables).
+  // FabricRequest only runs while every other core is quiescent (a
+  // canonical commit, or the lone running core), one stack at a time.
   void AttachTrace(obs::TraceSink* trace, int trace_pid) {
     trace_ = trace;
     trace_pid_ = trace_pid;
@@ -86,8 +86,8 @@ class CacheStack {
 
   // --- Engine probes --------------------------------------------------------
   // Exact, side-effect-free predicates for whether the corresponding access
-  // would issue a coherence-fabric transaction. The execution engines
-  // (machine/engine.h) use them to stop a core at the last core-private
+  // would issue a coherence-fabric transaction. The execution engine
+  // (machine/engine.h) uses them to stop a core at the last core-private
   // instruction of a segment, so that every fabric transaction is committed
   // in canonical (cycle, cpu-id) order. Each probe mirrors its access path
   // decision-for-decision; set_fabric_guard() below enforces the contract.
@@ -96,7 +96,7 @@ class CacheStack {
   bool PrefetchNeedsFabric(Addr addr, bool excl, Cycle now) const;
 
   // While set, any fabric transaction from this stack aborts the simulation
-  // (the engines set it around core-private segments; a trip means a probe
+  // (the engine sets it around core-private segments; a trip means a probe
   // above fell out of sync with its access path). Raising the guard also
   // starts a fresh probe-memo generation (see ProbeMemo below). If the
   // 64-bit generation ever wraps (a soak run raising the guard 2^64 times),

@@ -12,7 +12,7 @@
 // `cobra.deployments`, `engine.quanta`) and unique within a registry.
 // `Take()` returns a Snapshot: a name-sorted list of (name, value) pairs
 // with a stable fingerprint — the single artifact the benchmark driver
-// serializes, the determinism tests compare across execution engines, and
+// serializes, the determinism tests compare across repeated runs, and
 // ad-hoc debugging dumps with `ToString()`.
 #pragma once
 
@@ -49,7 +49,7 @@ struct Snapshot {
   std::uint64_t SumPrefix(std::string_view prefix) const;
 
   // FNV-1a over the sorted (name, value) stream: bit-identical snapshots
-  // (the determinism contract between execution engines) hash identically,
+  // (the determinism contract between repeated runs) hash identically,
   // and any divergent counter changes the fingerprint. Host metrics are
   // skipped — they vary run to run by construction.
   std::uint64_t Fingerprint() const;

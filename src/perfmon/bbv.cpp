@@ -45,8 +45,8 @@ void BbvProfiler::OnTakenBranch(CpuId cpu, isa::Addr target,
 }
 
 void BbvProfiler::OnBarrier() {
-  // All cores are quiescent here, and every engine reaches the same
-  // barriers with the same retired counts: interval boundaries are a
+  // All cores are quiescent here, and every run reaches the same quantum
+  // boundaries with the same retired counts: interval boundaries are a
   // function of simulated state alone.
   std::uint64_t total_retired = 0;
   for (CpuId cpu = 0; cpu < machine_->num_cpus(); ++cpu) {

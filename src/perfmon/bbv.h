@@ -8,10 +8,9 @@
 // into phases, and one *representative* interval per phase is all the
 // detailed simulation a sampled run needs (sample.h drives that pipeline).
 //
-// Determinism: per-CPU accumulation only during segments (cores may run on
-// parallel host threads), merged and interval-closed exclusively at engine
-// commit barriers via a round task — the same points at which simulated
-// state is engine-independent. Clustering is deterministic k-means:
+// Determinism: per-CPU accumulation only during segments, merged and
+// interval-closed exclusively at quantum boundaries via a round task, while
+// every core is quiescent. Clustering is deterministic k-means:
 // farthest-first seeding from interval 0, lowest-index tie-breaks, no RNG
 // and no wall-clock anywhere.
 #pragma once
@@ -37,16 +36,16 @@ class BbvProfiler final : public cpu::BlockProfiler {
  public:
   // Attaches to every core of `machine` and registers the interval-closing
   // round task. `interval_insts` is the interval length in machine-wide
-  // retired instructions (an interval closes at the first commit barrier at
-  // or past the quota, so actual interval sizes quantize to barriers).
+  // retired instructions (an interval closes at the first quantum boundary
+  // at or past the quota, so actual interval sizes quantize to quanta).
   BbvProfiler(machine::Machine* machine, std::uint64_t interval_insts);
   ~BbvProfiler() override;
 
   BbvProfiler(const BbvProfiler&) = delete;
   BbvProfiler& operator=(const BbvProfiler&) = delete;
 
-  // cpu::BlockProfiler: called by a core on every taken branch, possibly
-  // from a parallel segment — touches this CPU's accumulator only.
+  // cpu::BlockProfiler: called by a core on every taken branch — touches
+  // this CPU's accumulator only.
   void OnTakenBranch(CpuId cpu, isa::Addr target,
                      std::uint64_t retired) override;
 
@@ -63,8 +62,7 @@ class BbvProfiler final : public cpu::BlockProfiler {
   machine::Machine* machine_;
   std::uint64_t interval_insts_;
 
-  // Padded: cores append concurrently during parallel segment phases.
-  struct alignas(64) PerCpu {
+  struct PerCpu {
     isa::Addr current_block = 0;   // target of the last taken branch
     std::uint64_t last_retired = 0;
     std::map<isa::Addr, std::uint64_t> weights;

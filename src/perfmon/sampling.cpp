@@ -45,7 +45,7 @@ void SamplingDriver::CollectSample(cpu::Core& core) {
   // DEAR observations, no meaningful CPI. Sampled simulation
   // (perfmon/sample.h) relies on this pause — COBRA's window/epoch
   // machinery must only ever see detailed-mode windows. Deterministic:
-  // fast-forward only toggles at engine commit barriers.
+  // fast-forward only toggles at quantum boundaries.
   if (core.fast_forward()) return;
   auto& state = per_cpu_.at(static_cast<std::size_t>(core.id()));
   COBRA_CHECK(state.active);
@@ -62,13 +62,13 @@ void SamplingDriver::CollectSample(cpu::Core& core) {
   }
   sample.btb = core.btb().Snapshot();
   sample.dear = core.dear().last();
-  total_samples_.fetch_add(1, std::memory_order_relaxed);
+  ++total_samples_;
 
   state.kernel_buffer.push_back(sample);
   if (state.kernel_buffer.size() >= config_.batch_size) {
     if (machine_->engine_active()) {
-      // Segment phase (possibly on a worker thread): queue the batch for
-      // the commit barrier instead of calling into shared COBRA state.
+      // Mid-quantum: queue the batch for the quantum boundary instead of
+      // calling into COBRA state while other cores are mid-segment.
       state.deferred.push_back(std::move(state.kernel_buffer));
       state.kernel_buffer.clear();
       state.kernel_buffer.reserve(config_.batch_size);
@@ -182,7 +182,7 @@ void SamplingDriver::SaveState(support::StateWriter& w) const {
       for (const Sample& sample : batch) SaveSample(w, sample);
     }
   }
-  w.U64(total_samples_.load(std::memory_order_relaxed));
+  w.U64(total_samples_);
   w.U64(total_batches_);
 }
 
@@ -231,12 +231,9 @@ bool SamplingDriver::RestoreState(support::StateReader& r) {
       state.deferred.push_back(std::move(batch));
     }
   }
-  std::uint64_t total_samples = 0;
-  r.U64(&total_samples);
+  r.U64(&total_samples_);
   r.U64(&total_batches_);
-  if (!r.Ok()) return false;
-  total_samples_.store(total_samples, std::memory_order_relaxed);
-  return true;
+  return r.Ok();
 }
 
 }  // namespace cobra::perfmon

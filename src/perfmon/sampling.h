@@ -11,18 +11,17 @@
 // source/target pairs), and the latest DEAR record (miss instruction
 // address, miss data address, latency).
 //
-// Delivery discipline: while an ExecutionEngine is driving the cores,
+// Delivery discipline: while the execution engine is driving the cores,
 // full batches are queued per CPU and handed to the handlers at the next
-// engine commit barrier (a registered round task), in cpu-id order. The
+// quantum boundary (a registered round task), in cpu-id order. The
 // handlers feed COBRA's monitoring threads, whose optimizer may rewrite
-// the binary image — deferring to barriers means rewrites only happen
-// while every core is quiescent, identically under the serial and
-// parallel engines. Without an engine (unit tests driving cores by hand),
-// batches deliver inline as the samples are collected.
+// the binary image — deferring to quantum boundaries means rewrites only
+// happen while every core is quiescent. Without an engine (unit tests
+// driving cores by hand), batches deliver inline as the samples are
+// collected.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -88,9 +87,7 @@ class SamplingDriver {
   void StopMonitoring(CpuId cpu);
   void StopAll();
 
-  std::uint64_t TotalSamples() const {
-    return total_samples_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t TotalSamples() const { return total_samples_; }
   // Batches handed to delivery handlers (the monitoring-thread "signals").
   std::uint64_t TotalBatches() const { return total_batches_; }
   const SamplingConfig& config() const { return config_; }
@@ -107,8 +104,7 @@ class SamplingDriver {
     int tid = 0;
     std::uint64_t next_index = 0;
     std::vector<Sample> kernel_buffer;
-    // Full batches awaiting barrier delivery (engine runs only). Touched
-    // exclusively by the core's segment (worker-local) or at barriers.
+    // Full batches awaiting quantum-boundary delivery (engine runs only).
     std::vector<std::vector<Sample>> deferred;
     DeliveryHandler handler;
   };
@@ -122,9 +118,7 @@ class SamplingDriver {
   SamplingConfig config_;
   std::vector<PerCpu> per_cpu_;
   int round_task_id_ = -1;
-  // Cores sample concurrently during parallel segment phases.
-  std::atomic<std::uint64_t> total_samples_{0};
-  // Batches only deliver at barriers or inline (coordinator thread).
+  std::uint64_t total_samples_ = 0;
   std::uint64_t total_batches_ = 0;
   obs::Registry::Registration metrics_;
 };

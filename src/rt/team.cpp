@@ -22,7 +22,7 @@ Team::Team(machine::Machine* machine, int num_threads,
            const machine::EngineConfig& engine)
     : machine_(machine),
       num_threads_(num_threads),
-      engine_(machine::MakeEngine(engine)) {
+      engine_(engine) {
   COBRA_CHECK(machine != nullptr);
   COBRA_CHECK_MSG(num_threads >= 1 && num_threads <= machine->num_cpus(),
                   "team larger than the machine");
@@ -36,8 +36,8 @@ Cycle Team::Run(isa::Addr entry,
   const bool tag_context = machine_->checker() != nullptr &&
                            verify::FailureContext().empty();
   if (tag_context) {
-    verify::SetFailureContext(std::string("team run: engine=") +
-                              engine_->name() +
+    verify::SetFailureContext("team run: engine=" +
+                              machine::FormatEngineSpec(engine_) +
                               " threads=" + std::to_string(num_threads_));
   }
 
@@ -55,7 +55,7 @@ Cycle Team::Run(isa::Addr entry,
     active.push_back(tid);
   }
 
-  engine_->Run(*machine_, active);
+  machine::Run(*machine_, active, engine_);
 
   // Join barrier.
   machine_->SyncCores();

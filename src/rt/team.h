@@ -9,17 +9,14 @@
 // by thread id), which is the partitioning whose boundary lines produce
 // the sharing behaviour the paper studies.
 //
-// The team owns its ExecutionEngine (machine/engine.h): pass an
-// EngineConfig to run regions on the parallel host engine. Serial and
-// parallel engines are bit-identical; the engine choice only affects host
-// wall-clock. The parallel engine requires regions to be free of simulated
-// data races (concurrent conflicting accesses to the same bytes), which
-// the fork/join + static-chunk workloads here satisfy by construction.
+// The team carries an EngineConfig (machine/engine.h) for its regions. Its
+// quantum is part of the timing model: it bounds how far a core runs ahead
+// between barriers and sets how often round tasks (deferred sample delivery
+// into COBRA) run — once per quantum, at the quantum boundary.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "cpu/regfile.h"
@@ -42,13 +39,12 @@ IndexRange StaticChunk(int tid, int num_threads, std::int64_t n);
 
 class Team {
  public:
-  // Uses CPUs [0, num_threads) of the machine. `engine` selects how the
-  // host executes regions (default: the serial engine).
+  // Uses CPUs [0, num_threads) of the machine. `engine` sets the quantum
+  // the team's regions run at.
   Team(machine::Machine* machine, int num_threads,
        const machine::EngineConfig& engine = {});
 
   int num_threads() const { return num_threads_; }
-  const char* engine_name() const { return engine_->name(); }
 
   // Runs a parallel region: every thread starts at `entry` after `setup`
   // has initialized its registers. Returns the region's duration in cycles
@@ -61,7 +57,7 @@ class Team {
  private:
   machine::Machine* machine_;
   int num_threads_;
-  std::unique_ptr<machine::ExecutionEngine> engine_;
+  machine::EngineConfig engine_;
 };
 
 }  // namespace cobra::rt

@@ -175,9 +175,9 @@ GeneratedCase GenerateRawMix(kgen::Program& prog, support::Rng& rng,
 }
 
 // --- Random kgen kernels ----------------------------------------------------
-// The racy emitters (histogram, rank, scan) are excluded: the parallel
-// engine's contract requires regions free of simulated data races, and the
-// serial/parallel fingerprint diff depends on it.
+// The racy emitters (histogram, rank, scan) are excluded: the cross-protocol
+// and cross-planner memory-image checks require a final image that does not
+// depend on timing, i.e. regions free of simulated data races.
 
 kgen::PrefetchPolicy RandomPrefetch(support::Rng& rng) {
   kgen::PrefetchPolicy pf;
@@ -404,17 +404,6 @@ std::string MemoryImageOf(const std::string& fingerprint) {
   return fingerprint.substr(pos, end - pos);
 }
 
-std::string FormatEngine(const machine::EngineConfig& engine) {
-  std::ostringstream out;
-  out << (engine.kind == machine::EngineKind::kSerial ? "serial" : "parallel");
-  if (engine.kind == machine::EngineKind::kParallel &&
-      engine.host_threads > 0) {
-    out << ":" << engine.host_threads;
-  }
-  out << "@" << engine.quantum;
-  return out.str();
-}
-
 std::vector<std::pair<std::string, isa::Addr>> BuildFuzzProgram(
     const FuzzCase& c, kgen::Program& prog) {
   support::Rng rng(c.seed ^ 0x5bf0b5a2d192a3c1ULL);
@@ -436,7 +425,8 @@ std::string RunFuzzCase(const FuzzCase& c,
 
   std::ostringstream ctx;
   ctx << "fuzz seed=" << c.seed << " machine=" << c.machine_name
-      << " threads=" << c.threads << " engine=" << FormatEngine(engine)
+      << " threads=" << c.threads
+      << " engine=" << machine::FormatEngineSpec(engine)
       << " -- rerun just this case with COBRA_FUZZ_SEED=" << c.seed;
   SetFailureContext(ctx.str());
 
@@ -472,7 +462,7 @@ PlannerCrossCheck RunFuzzCaseWithPlanner(const FuzzCase& c,
     std::ostringstream ctx;
     ctx << "fuzz planner=" << core::PlannerKindName(kind) << " seed=" << c.seed
         << " machine=" << c.machine_name << " threads=" << c.threads
-        << " engine=" << FormatEngine(engine)
+        << " engine=" << machine::FormatEngineSpec(engine)
         << " -- rerun just this case with COBRA_FUZZ_SEED=" << c.seed;
     SetFailureContext(ctx.str());
 
@@ -543,7 +533,8 @@ std::string RunFuzzCaseWithDeployments(const FuzzCase& c,
 
   std::ostringstream ctx;
   ctx << "fuzz live-patch seed=" << c.seed << " machine=" << c.machine_name
-      << " threads=" << c.threads << " engine=" << FormatEngine(engine)
+      << " threads=" << c.threads
+      << " engine=" << machine::FormatEngineSpec(engine)
       << " -- rerun just this case with COBRA_FUZZ_SEED=" << c.seed;
   SetFailureContext(ctx.str());
 
@@ -632,12 +623,13 @@ ScevSoundnessResult CheckScevSoundness(const FuzzCase& c,
 
   std::ostringstream ctx;
   ctx << "fuzz scev-soundness seed=" << c.seed << " machine=" << c.machine_name
-      << " threads=" << c.threads << " engine=" << FormatEngine(engine)
+      << " threads=" << c.threads
+      << " engine=" << machine::FormatEngineSpec(engine)
       << " -- rerun just this case with COBRA_FUZZ_SEED=" << c.seed;
   SetFailureContext(ctx.str());
 
-  // Per-cpu observation state (the parallel engine runs cores on host
-  // threads: nothing here may be shared across cpus until the merge).
+  // Per-cpu observation state: each core's address stream is checked on
+  // its own, and the tallies merge after the run.
   struct CpuTally {
     std::map<isa::Addr, isa::Addr> seen;  // last address per claimed pc,
                                           // valid while inside the loop

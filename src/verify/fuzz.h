@@ -52,10 +52,6 @@ FuzzCase WithProtocol(FuzzCase c, mem::Protocol protocol);
 // fingerprint legitimately differs).
 std::string MemoryImageOf(const std::string& fingerprint);
 
-// Renders an engine config the way ParseEngineSpec accepts it
-// ("parallel:4@1024").
-std::string FormatEngine(const machine::EngineConfig& engine);
-
 // Regenerates a case's seeded binary into `prog` without running it, for
 // static tooling (cobra_lint --fuzz): the returned (name, entry) pairs
 // cover every entry point to lint. Kgen-kernel cases register their

@@ -268,7 +268,7 @@ TEST(BenchReport, SchemaMatchesGolden) {
          (expected.back() == '\n' || expected.back() == '\r')) {
     expected.pop_back();
   }
-  // The signature erases values, so this holds for any engine, any machine
+  // The signature erases values, so this holds for any quantum, any machine
   // and --quick or not. Regenerate after an intentional schema change with:
   //   cobra_bench --suite=paper --quick --schema > tests/golden/bench_schema.txt
   EXPECT_EQ(Report().SchemaSignature(), expected);
@@ -344,9 +344,8 @@ TEST(BenchReport, MatchesCommittedGoldenQuickMetrics) {
   std::string error;
   const auto golden = Json::Parse(text.str(), &error);
   ASSERT_TRUE(golden.has_value()) << error;
-  // Compare the experiments subtree, not the header: results are
-  // bit-identical across engines, but the header's "engine" string is not
-  // (this test must pass under COBRA_ENGINE=parallel too).
+  // Compare the experiments subtree, not the header: the golden pins the
+  // simulated results, while the header only records the run's settings.
   const bench::CompareResult r = bench::CompareReports(
       golden->At("experiments"), Report().At("experiments"));
   for (const std::string& diff : r.diffs) ADD_FAILURE() << diff;

@@ -481,19 +481,6 @@ TEST_F(StoreBufferFixture, DrainChargedBeforeNextCoherenceTransaction) {
   EXPECT_EQ(stack(0).stats().buffered_stores, 4u);
 }
 
-TEST(StoreBuffer, BufferedRunStaysEngineDeterministic) {
-  // Drain-before-commit keeps every fabric transaction's timing a function
-  // of simulated state alone, so serial and parallel engines must agree
-  // bit-for-bit even with the buffer enabled.
-  verify::FuzzCase c = verify::SmpFuzzCase(424242);
-  c.machine.mem.store_buffer_entries = 8;
-  machine::EngineConfig serial;
-  machine::EngineConfig parallel;
-  parallel.kind = machine::EngineKind::kParallel;
-  parallel.host_threads = 4;
-  EXPECT_EQ(verify::RunFuzzCase(c, serial), verify::RunFuzzCase(c, parallel));
-}
-
 TEST(StoreBuffer, DisabledBufferMatchesDefaultConfigExactly) {
   // store_buffer_entries = 0 *is* the paper configuration: forcing it
   // explicitly must not perturb a single fingerprinted value.

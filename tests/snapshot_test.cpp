@@ -5,8 +5,8 @@
 // quantum barrier mid-run, serializes the whole machine and restores it in
 // place. The final fingerprint — every non-host registry metric, per-core
 // timing/PC state and a hash of the data segment — must be bit-identical
-// to a run that never paused, across both machine shapes, all four
-// coherence protocols, and serial/parallel engines.
+// to a run that never paused, across both machine shapes and all four
+// coherence protocols.
 //
 // The transplant tests restore a mid-run blob into a *freshly built*
 // machine and finish the run there; the rejection tests feed corrupted,
@@ -21,7 +21,6 @@
 
 #include "kgen/emitters.h"
 #include "kgen/program.h"
-#include "machine/engine.h"
 #include "machine/machine.h"
 #include "mem/protocol.h"
 #include "obs/registry.h"
@@ -130,8 +129,7 @@ enum class Mode {
   kSaveOnly,   // save the blob at the barrier, keep running undisturbed
 };
 
-RunResult RunWorkload(machine::MachineConfig cfg, int threads,
-                      const machine::EngineConfig& engine, Mode mode) {
+RunResult RunWorkload(machine::MachineConfig cfg, int threads, Mode mode) {
   kgen::Program prog;
   const Workload w = BuildWorkload(prog, threads);
   cfg.mem.memory_bytes = 1 << 23;
@@ -154,7 +152,7 @@ RunResult RunWorkload(machine::MachineConfig cfg, int threads,
     });
   }
 
-  rt::Team team(&machine, threads, engine);
+  rt::Team team(&machine, threads);
   for (int rep = 0; rep < kReps; ++rep) RunRep(team, w, threads);
   if (task >= 0) machine.RemoveRoundTask(task);
   result.fingerprint = Fingerprint(machine, w.x, w.data_end);
@@ -166,33 +164,27 @@ constexpr mem::Protocol kAllProtocols[] = {
     mem::Protocol::kMesif};
 
 // Mid-run save -> restore-in-place -> run-to-completion must equal a run
-// that never paused, for every shape x protocol x engine combination.
+// that never paused, for every shape x protocol combination.
 void RunRoundTripMatrix(const machine::MachineConfig& base, int threads) {
   for (const mem::Protocol protocol : kAllProtocols) {
     machine::MachineConfig cfg = base;
     cfg.mem.protocol = protocol;
-    for (const char* spec : {"serial", "parallel:2"}) {
-      const machine::EngineConfig engine = machine::ParseEngineSpec(spec);
-      const RunResult straight = RunWorkload(cfg, threads, engine,
-                                             Mode::kStraight);
-      const RunResult paused = RunWorkload(cfg, threads, engine,
-                                           Mode::kRoundTrip);
-      ASSERT_TRUE(paused.checkpoint_taken)
-          << mem::ProtocolName(protocol) << "/" << spec
-          << ": checkpoint threshold never reached";
-      EXPECT_FALSE(paused.blob.empty());
-      EXPECT_EQ(straight.fingerprint, paused.fingerprint)
-          << "round-trip diverged under " << mem::ProtocolName(protocol)
-          << "/" << spec;
-    }
+    const RunResult straight = RunWorkload(cfg, threads, Mode::kStraight);
+    const RunResult paused = RunWorkload(cfg, threads, Mode::kRoundTrip);
+    ASSERT_TRUE(paused.checkpoint_taken)
+        << mem::ProtocolName(protocol)
+        << ": checkpoint threshold never reached";
+    EXPECT_FALSE(paused.blob.empty());
+    EXPECT_EQ(straight.fingerprint, paused.fingerprint)
+        << "round-trip diverged under " << mem::ProtocolName(protocol);
   }
 }
 
-TEST(SnapshotRoundTrip, SmpAllProtocolsBothEngines) {
+TEST(SnapshotRoundTrip, SmpAllProtocols) {
   RunRoundTripMatrix(machine::SmpServerConfig(4), 4);
 }
 
-TEST(SnapshotRoundTrip, NumaAllProtocolsBothEngines) {
+TEST(SnapshotRoundTrip, NumaAllProtocols) {
   RunRoundTripMatrix(machine::AltixConfig(8), 8);
 }
 
@@ -204,8 +196,7 @@ TEST(SnapshotTransplant, ResumesInFreshMachine) {
   const int threads = 4;
 
   // Reference: all reps on one machine.
-  const RunResult straight =
-      RunWorkload(base, threads, machine::EngineConfig{}, Mode::kStraight);
+  const RunResult straight = RunWorkload(base, threads, Mode::kStraight);
 
   // First half on the donor machine.
   kgen::Program donor_prog;
@@ -241,10 +232,8 @@ TEST(SnapshotTransplant, ResumesMidRegionInFreshMachine) {
   const machine::MachineConfig base = machine::SmpServerConfig(4);
   const int threads = 4;
 
-  const RunResult straight =
-      RunWorkload(base, threads, machine::EngineConfig{}, Mode::kStraight);
-  const RunResult saved =
-      RunWorkload(base, threads, machine::EngineConfig{}, Mode::kSaveOnly);
+  const RunResult straight = RunWorkload(base, threads, Mode::kStraight);
+  const RunResult saved = RunWorkload(base, threads, Mode::kSaveOnly);
   ASSERT_TRUE(saved.checkpoint_taken);
 
   kgen::Program prog;
@@ -279,9 +268,8 @@ TEST(SnapshotTransplant, ResumesMidRegionInFreshMachine) {
 class SnapshotRejection : public ::testing::Test {
  protected:
   void SetUp() override {
-    const RunResult saved = RunWorkload(machine::SmpServerConfig(4), 4,
-                                        machine::EngineConfig{},
-                                        Mode::kSaveOnly);
+    const RunResult saved =
+        RunWorkload(machine::SmpServerConfig(4), 4, Mode::kSaveOnly);
     ASSERT_TRUE(saved.checkpoint_taken);
     blob_ = saved.blob;
 

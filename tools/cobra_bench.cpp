@@ -11,8 +11,8 @@
 // The JSON document's shape is pinned by tests/paper_trends_test.cpp
 // (golden schema); the paper's headline trends are asserted by the same
 // test on a quick run. COBRA_TRACE=<file> additionally writes a Chrome
-// trace-event timeline of the simulated runs, and COBRA_ENGINE selects the
-// host execution engine (bit-identical results either way).
+// trace-event timeline of the simulated runs, and COBRA_ENGINE sets the
+// execution engine's quantum.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -30,7 +30,7 @@ int Usage(const char* argv0) {
       "          [--only=SUBSTRING] [--compare=OLD.json] [--list] [--quiet]\n"
       "\n"
       "  --suite=NAME   paper (default): Table 1, Fig 2/3/5/6/7, ablations,\n"
-      "                 insertion; micro: execution-engine studies\n"
+      "                 insertion; micro: execution-engine quantum sweep\n"
       "  --quick        CI-sized matrices (same experiments, same schema)\n"
       "  --sample       run the NPB matrices in sampled mode: a fast-forward\n"
       "                 BBV profiling pass, then detailed simulation of only\n"
@@ -46,7 +46,7 @@ int Usage(const char* argv0) {
       "                 summary (regenerates tests/golden/bench_schema.txt)\n"
       "  --quiet        suppress progress lines on stderr\n"
       "\n"
-      "environment: COBRA_ENGINE=serial|parallel[:N][@Q], COBRA_TRACE=FILE,\n"
+      "environment: COBRA_ENGINE=serial[@Q], COBRA_TRACE=FILE,\n"
       "             COBRA_SAMPLE=<interval_insts>[:<max_phases>]\n",
       argv0);
   return 2;

@@ -2,30 +2,26 @@
 //
 // Runs seeded random workloads (see src/verify/fuzz.h) on the SMP and/or
 // NUMA machine shapes with the coherence checker + golden memory oracle
-// enabled, under both the serial and the parallel engine, and diffs the
-// fingerprints. Any invariant violation aborts with the seed needed to
-// replay; a fingerprint mismatch between engines is reported and counted.
+// enabled. Any invariant violation aborts with the seed (and engine spec)
+// needed to replay. The engine quantum honours COBRA_ENGINE=serial[@Q].
 //
 //   cobra_fuzz [--cases=N] [--seed=N] [--machine=smp|numa|both]
-//              [--engine=SPEC]
 //
 //   --cases=N      seeds per machine shape (default 100)
 //   --seed=N       run exactly one seed (also honoured from the
 //                  COBRA_FUZZ_SEED environment variable)
 //   --machine=...  restrict to one machine shape (default both)
-//   --engine=SPEC  compare serial against SPEC (default "parallel:4";
-//                  accepts anything machine::ParseEngineSpec does)
 //   --dump         print every case's fingerprint (counters + data hash)
 //   --verify       also deploy every emitted loop of each case through the
 //                  trace cache and run the patch-safety verifier on the
 //                  deploy/revert/re-apply cycle (COBRA_VERIFY=1 does the
 //                  same from the environment)
-//   --planner      strategy-engine differential instead of the engine
-//                  diff: run each case twice under an attached COBRA
-//                  runtime — COBRA_PLANNER=heuristic vs =cost — and check
-//                  the final memory images are bit-identical (the planner
-//                  only picks which semantics-preserving patches go live);
-//                  every deploy passes the patch-safety verifier
+//   --planner      strategy-engine differential: run each case twice
+//                  under an attached COBRA runtime (COBRA_PLANNER=heuristic
+//                  vs =cost) and check the final memory images are
+//                  bit-identical (the planner only picks which
+//                  semantics-preserving patches go live); every deploy
+//                  passes the patch-safety verifier
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -50,14 +46,13 @@ struct CliOptions {
   bool dump = false;
   bool verify = false;
   bool planner = false;
-  std::string engine_spec = "parallel:4";
 };
 
 [[noreturn]] void UsageError(const char* arg) {
   std::fprintf(stderr,
                "cobra_fuzz: bad argument '%s'\n"
                "usage: cobra_fuzz [--cases=N] [--seed=N] "
-               "[--machine=smp|numa|both] [--engine=SPEC]\n",
+               "[--machine=smp|numa|both]\n",
                arg);
   std::exit(2);
 }
@@ -83,8 +78,6 @@ CliOptions Parse(int argc, char** argv) {
       opt.verify = true;
     } else if (std::strcmp(arg, "--planner") == 0) {
       opt.planner = true;
-    } else if (std::strncmp(arg, "--engine=", 9) == 0) {
-      opt.engine_spec = arg + 9;
     } else {
       UsageError(arg);
     }
@@ -105,8 +98,6 @@ int RunShape(FuzzCase (*make)(std::uint64_t), std::uint64_t seed_base,
              const CliOptions& opt,
              const cobra::machine::EngineConfig& engine,
              int* verifier_passes) {
-  cobra::machine::EngineConfig serial;
-  serial.quantum = engine.quantum;
   int mismatches = 0;
   const int cases = opt.have_seed ? 1 : opt.cases;
   for (int i = 0; i < cases; ++i) {
@@ -139,21 +130,10 @@ int RunShape(FuzzCase (*make)(std::uint64_t), std::uint64_t seed_base,
     if (opt.verify) {
       *verifier_passes += cobra::verify::VerifyFuzzDeployments(c);
     }
-    const std::string a = RunFuzzCase(c, serial);
-    const std::string b = RunFuzzCase(c, engine);
-    if (a != b) {
-      ++mismatches;
-      std::fprintf(stderr,
-                   "MISMATCH machine=%s seed=%" PRIu64
-                   ": serial and %s fingerprints differ\n"
-                   "--- serial ---\n%s--- %s ---\n%s",
-                   c.machine_name.c_str(), seed, opt.engine_spec.c_str(),
-                   a.c_str(), opt.engine_spec.c_str(), b.c_str());
-    } else {
-      std::printf("ok machine=%s seed=%" PRIu64 "\n", c.machine_name.c_str(),
-                  seed);
-      if (opt.dump) std::fputs(a.c_str(), stdout);
-    }
+    const std::string fingerprint = RunFuzzCase(c, engine);
+    std::printf("ok machine=%s seed=%" PRIu64 "\n", c.machine_name.c_str(),
+                seed);
+    if (opt.dump) std::fputs(fingerprint.c_str(), stdout);
   }
   return mismatches;
 }
@@ -163,7 +143,7 @@ int RunShape(FuzzCase (*make)(std::uint64_t), std::uint64_t seed_base,
 int main(int argc, char** argv) {
   const CliOptions opt = Parse(argc, argv);
   const cobra::machine::EngineConfig engine =
-      cobra::machine::ParseEngineSpec(opt.engine_spec);
+      cobra::machine::EngineConfigFromEnv();
   int mismatches = 0;
   int verifier_passes = 0;
   if (opt.run_smp) {
@@ -178,7 +158,7 @@ int main(int argc, char** argv) {
     std::printf("cobra_fuzz: patch verifier ran %d passes\n", verifier_passes);
   }
   if (mismatches != 0) {
-    std::fprintf(stderr, "cobra_fuzz: %d fingerprint mismatch(es)\n",
+    std::fprintf(stderr, "cobra_fuzz: %d memory-image mismatch(es)\n",
                  mismatches);
     return 1;
   }
