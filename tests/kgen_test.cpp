@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "isa/disasm.h"
@@ -167,6 +168,10 @@ struct StreamCase {
   StreamOp op;
   const char* name;
 };
+
+// Prints the case by name instead of as raw bytes (uninitialized padding
+// and a build-dependent pointer), so the listed test name is stable.
+void PrintTo(const StreamCase& c, std::ostream* os) { *os << c.name; }
 
 class StreamLoopTest : public KgenFixture,
                        public ::testing::WithParamInterface<StreamCase> {};

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "npb/common.h"
 
@@ -17,10 +19,19 @@ struct SuiteCase {
   bool numa;
 };
 
-std::string CaseName(const ::testing::TestParamInfo<SuiteCase>& info) {
-  return std::string(info.param.name) + "_t" +
-         std::to_string(info.param.threads) + (info.param.numa ? "_numa" : "_smp");
+std::string CaseLabel(const SuiteCase& c) {
+  return std::string(c.name) + "_t" + std::to_string(c.threads) +
+         (c.numa ? "_numa" : "_smp");
 }
+
+std::string CaseName(const ::testing::TestParamInfo<SuiteCase>& info) {
+  return CaseLabel(info.param);
+}
+
+// Without a printer gtest dumps the parameter's raw bytes — including the
+// name pointer, which moves with every build and load address — into the
+// test's listed name.
+void PrintTo(const SuiteCase& c, std::ostream* os) { *os << CaseLabel(c); }
 
 class NpbSuiteTest : public ::testing::TestWithParam<SuiteCase> {};
 
