@@ -359,37 +359,6 @@ void Core::Step() {
   RetireTail();
 }
 
-bool Core::NextStepNeedsFabric() const {
-  if (halted_) return false;
-  const ExecPlan& plan = image_->PlanAt(pc_);
-  // Only memory ops can touch the fabric (branch and memory opcodes are
-  // disjoint), and a squashed instruction retires with no architectural
-  // effect (ExecutePlan checks the same predicate).
-  if (!(plan.cls & isa::kPlanMem)) return false;
-  if (!regs_.ReadPr(plan.qp)) return false;
-  return PlanMemNeedsFabric(plan, regs_.ReadGr(plan.r2));
-}
-
-bool Core::PlanMemNeedsFabric(const ExecPlan& plan, Addr addr) const {
-  // Fast-forward mode never touches the cache stack or fabric: every
-  // memory op is committed functionally inside a core-private segment.
-  if (fast_forward_) return false;
-  if (plan.cls & isa::kPlanLfetch) {
-    if (addr >= memory_->size()) return false;  // non-faulting: dropped
-    // Prefetch routing compares in-flight fill deadlines against the
-    // access time, which includes the issue cycle this step would charge.
-    Cycle access_now = now_;
-    if (isa::SlotOf(pc_) == 0 && bundle_credit_ + 1 >= issue_width_) {
-      ++access_now;
-    }
-    return stack_->PrefetchNeedsFabric(addr, (plan.cls & isa::kPlanExcl) != 0,
-                                       access_now);
-  }
-  if (plan.cls & isa::kPlanStore) return stack_->StoreNeedsFabric(addr);
-  return stack_->LoadNeedsFabric(addr, (plan.cls & isa::kPlanFp) != 0,
-                                 (plan.cls & isa::kPlanBias) != 0);
-}
-
 void Core::RunSegment(Cycle q_end) {
   if (tjit_ != nullptr) {
     RunSegmentTjit(q_end);
@@ -398,12 +367,11 @@ void Core::RunSegment(Cycle q_end) {
   while (!halted_ && now_ < q_end) {
     const ExecPlan& plan = image_->PlanAt(pc_);
     if ((plan.cls & isa::kPlanMem) && regs_.ReadPr(plan.qp)) {
-      const Addr addr = regs_.ReadGr(plan.r2);
-      if (PlanMemNeedsFabric(plan, addr)) return;
-      // Fused step: the classification, predicate and address above are
-      // exactly what ExecutePlan would recompute.
-      ChargeIssue();
-      DoMemoryOpPlan(plan, addr);
+      // Fused step: the classification, predicate and address are exactly
+      // what ExecutePlan would recompute.
+      if (!TryMemoryOp(plan, regs_.ReadGr(plan.r2), isa::SlotOf(pc_) == 0)) {
+        return;  // fabric-bound: nothing was committed
+      }
       AdvancePc();
       RetireTail();
       continue;
@@ -423,8 +391,8 @@ void Core::RunQuantum(Cycle q_end) {
   // With the trace JIT, run segments (which stop just before any
   // fabric-bound step) and commit those steps inline — with one runnable
   // core there is nothing to order against. The step stream is identical
-  // to pure stepping: segments replay the interpreter exactly and probes
-  // never change simulated state.
+  // to pure stepping: segments replay the interpreter exactly and a Try*
+  // access that declines changes no simulated state.
   while (!halted_ && now_ < q_end) {
     RunSegmentTjit(q_end);
     if (!halted_ && now_ < q_end) Step();
@@ -459,16 +427,8 @@ void Core::RunSegmentTjit(Cycle q_end) {
     while (!halted_ && now_ < q_end) {
       const ExecPlan& plan = image_->PlanAt(pc_);
       if ((plan.cls & isa::kPlanMem) && regs_.ReadPr(plan.qp)) {
-        const Addr addr = regs_.ReadGr(plan.r2);
-        if (checker_ != nullptr || mem_observer_ || fast_forward_) {
-          // The checker and the memory observer interpose on every access
-          // in a fixed order, and fast-forward skips the cache model that
-          // TryMemoryOpPlan is fused with; keep the reference
-          // probe-then-access path.
-          if (PlanMemNeedsFabric(plan, addr)) return;
-          ChargeIssue();
-          DoMemoryOpPlan(plan, addr);
-        } else if (!TryMemoryOpPlan(plan, addr, isa::SlotOf(pc_) == 0)) {
+        if (!TryMemoryOp(plan, regs_.ReadGr(plan.r2),
+                         isa::SlotOf(pc_) == 0)) {
           return;  // fabric-bound: nothing was committed
         }
         AdvancePc();
@@ -599,21 +559,9 @@ bool Core::ExecSuperblockLoop(tjit::Superblock* sb, std::uint32_t idx,
           pc_ = s.next_pc;
           RetireTail();
         } else {
-          const Addr addr = regs_.ReadGr(s.plan.r2);
-          if (checker_ != nullptr || mem_observer_ || fast_forward_) {
-            if (PlanMemNeedsFabric(s.plan, addr)) {
-              if (s.next_idx != tjit::kNoStep) {
-                // The engine commits this step via Step(); resume after it.
-                resume_sb_ = sb;
-                resume_idx_ = s.next_idx;
-                resume_pc_ = s.next_pc;
-              }
-              return true;
-            }
-            ChargeIssueFor(s.slot0);
-            DoMemoryOpPlan(s.plan, addr);
-          } else if (!TryMemoryOpPlan(s.plan, addr, s.slot0)) {
+          if (!TryMemoryOp(s.plan, regs_.ReadGr(s.plan.r2), s.slot0)) {
             if (s.next_idx != tjit::kNoStep) {
+              // The engine commits this step via Step(); resume after it.
               resume_sb_ = sb;
               resume_idx_ = s.next_idx;
               resume_pc_ = s.next_pc;
@@ -651,10 +599,27 @@ bool Core::ExecSuperblockLoop(tjit::Superblock* sb, std::uint32_t idx,
   }
 }
 
+bool Core::TryMemoryOp(const ExecPlan& plan, Addr addr, bool slot0) {
+  return checker_ != nullptr || mem_observer_ || fast_forward_
+             ? TryMemoryOpPlan<true>(plan, addr, slot0)
+             : TryMemoryOpPlan<false>(plan, addr, slot0);
+}
+
+template <bool kHooks>
 bool Core::TryMemoryOpPlan(const ExecPlan& plan, Addr addr, bool slot0) {
+  if constexpr (kHooks) {
+    if (fast_forward_) {
+      // Functional-only ops never touch the cache stack or the fabric, so
+      // they always commit inside the segment.
+      ChargeIssueFor(slot0);
+      DoMemoryOpPlan(plan, addr);
+      return true;
+    }
+  }
   // The access time is computed as if the issue cycle had been charged
-  // (mirrors PlanMemNeedsFabric's prospective computation); the charge is
-  // applied only once the access is known to stay fabric-free.
+  // (Step() charges it before the access); the charge is applied only once
+  // the access is known to stay fabric-free. The checker sees the same
+  // values DoMemoryOpPlan hands it.
   const Cycle access_now =
       now_ + ((slot0 && bundle_credit_ + 1 >= issue_width_) ? 1 : 0);
   const Cycle hide = load_hide_;
@@ -671,7 +636,11 @@ bool Core::TryMemoryOpPlan(const ExecPlan& plan, Addr addr, bool slot0) {
         return false;
       }
       ChargeIssueFor(slot0);
-      regs_.WriteGr(plan.r1, memory_->Read(addr, plan.size));
+      const std::uint64_t value = memory_->Read(addr, plan.size);
+      regs_.WriteGr(plan.r1, value);
+      if (kHooks && checker_ != nullptr) {
+        checker_->OnLoad(id_, addr, plan.size, value);
+      }
       now_ += Stall(result.latency);
       dear_.Observe(pc_, addr, result.latency);
       break;
@@ -683,7 +652,11 @@ bool Core::TryMemoryOpPlan(const ExecPlan& plan, Addr addr, bool slot0) {
         return false;
       }
       ChargeIssueFor(slot0);
-      regs_.WriteFr(plan.r1, memory_->ReadDouble(addr));
+      const double value = memory_->ReadDouble(addr);
+      regs_.WriteFr(plan.r1, value);
+      if (kHooks && checker_ != nullptr) {
+        checker_->OnLoad(id_, addr, 8, std::bit_cast<std::uint64_t>(value));
+      }
       now_ += Stall(result.latency);
       dear_.Observe(pc_, addr, result.latency);
       break;
@@ -697,6 +670,9 @@ bool Core::TryMemoryOpPlan(const ExecPlan& plan, Addr addr, bool slot0) {
       std::uint64_t value = regs_.ReadGr(plan.r3);
       if (plan.size < 8) value &= (1ULL << (plan.size * 8)) - 1;
       memory_->Write(addr, plan.size, value);
+      if (kHooks && checker_ != nullptr) {
+        checker_->OnStore(id_, addr, plan.size, value);
+      }
       now_ += result.latency;
       break;
     }
@@ -704,7 +680,11 @@ bool Core::TryMemoryOpPlan(const ExecPlan& plan, Addr addr, bool slot0) {
       mem::CacheStack::AccessResult result;
       if (!stack_->TryStore(addr, 8, access_now, &result)) return false;
       ChargeIssueFor(slot0);
-      memory_->WriteDouble(addr, regs_.ReadFr(plan.r3));
+      const double value = regs_.ReadFr(plan.r3);
+      memory_->WriteDouble(addr, value);
+      if (kHooks && checker_ != nullptr) {
+        checker_->OnStore(id_, addr, 8, std::bit_cast<std::uint64_t>(value));
+      }
       now_ += result.latency;
       break;
     }
@@ -726,9 +706,13 @@ bool Core::TryMemoryOpPlan(const ExecPlan& plan, Addr addr, bool slot0) {
       COBRA_UNREACHABLE("not a memory op");
   }
 
+  if (kHooks && mem_observer_) mem_observer_(pc_, addr);
   if (plan.cls & isa::kPlanPostInc) {
     regs_.WriteGr(plan.r2, addr + static_cast<std::uint64_t>(plan.imm));
   }
+  // A fabric-free op journals no lines; settling keeps the checker's per-op
+  // protocol identical to DoMemoryOpPlan's.
+  if (kHooks && checker_ != nullptr) checker_->OnOpSettled(id_);
   return true;
 }
 
@@ -746,9 +730,9 @@ void Core::TakeBranch(Addr target, bool loop_branch) {
 }
 
 void Core::DoMemoryOpPlan(const ExecPlan& plan, Addr addr) {
-  // Every architectural data access funnels through here when an observer
-  // is attached (the fused fast path is disabled above): exactly one
-  // callback per performed op.
+  // Every architectural data access the fused path does not commit
+  // funnels through here (TryMemoryOpPlan fires the observer for the rest):
+  // exactly one callback per performed op.
   if (mem_observer_) mem_observer_(pc_, addr);
 
   if (fast_forward_) {

@@ -67,11 +67,10 @@ class Core final : public HpmSource {
   }
 
   // Observes every architecturally performed data-memory access (load,
-  // store, lfetch) as (pc, address) — predicated-off slots never fire.
-  // The scalar-evolution differential harness replays these streams
-  // against the static stride claims. Setting an observer forces the
-  // reference probe-then-access path: the fused fast path commits
-  // accesses without any per-op interposition point.
+  // store, lfetch — dropped out-of-range lfetches included) as
+  // (pc, address), exactly once per op on every execution path;
+  // predicated-off slots never fire. The scalar-evolution differential
+  // harness replays these streams against the static stride claims.
   using MemObserver = std::function<void(isa::Addr pc, isa::Addr addr)>;
   void SetMemObserver(MemObserver observer) {
     mem_observer_ = std::move(observer);
@@ -89,22 +88,18 @@ class Core final : public HpmSource {
   // Executes exactly one instruction (abort if halted).
   void Step();
 
-  // Exact, side-effect-free probe: would the next Step() issue a coherence
-  // fabric transaction? The execution engine (machine/engine.h) calls this
-  // at every step boundary to end a core-private segment just before a
-  // fabric access, which is then committed in canonical (cycle, cpu-id)
-  // order while all other cores are quiescent. Mirrors DoMemoryOpPlan's
-  // routing into the cache stack's *NeedsFabric probes
-  // decision-for-decision.
-  bool NextStepNeedsFabric() const;
-
-  // Segment hot loop for the execution engine: equivalent to
-  //   while (!halted() && now() < q_end && !NextStepNeedsFabric()) Step();
-  // but looks up each slot's exec plan once (probe and step share the
-  // classification). The caller is expected to hold the cache stack's
-  // fabric guard. With a translation cache attached (AttachTjit), hot
-  // traces run through compiled superblocks instead of the interpreter —
-  // with step-for-step identical simulated effects.
+  // Segment hot loop for the execution engine: steps until the core halts,
+  // leaves the quantum window, or its next step would issue a coherence
+  // fabric transaction. Memory steps go through the cache stack's fused
+  // Try* accesses, which decide fabric need and, when the access stays
+  // core-private, perform it in one pass; a fabric-bound step is left
+  // uncommitted (the pc stays on it) for the engine to commit with Step()
+  // in canonical (cycle, cpu-id) order while all other cores are
+  // quiescent. The result is step-for-step identical to Step(). The caller
+  // is expected to hold the cache stack's fabric guard. With a translation
+  // cache attached (AttachTjit), hot traces run through compiled
+  // superblocks instead of the interpreter, with identical simulated
+  // effects.
   void RunSegment(Cycle q_end);
 
   // Full quantum window for a single runnable core (no segmentation
@@ -181,7 +176,6 @@ class Core final : public HpmSource {
   // on the classification bits, squashes on a false qualifying predicate,
   // and dispatches everything else through the ExecOps handler table.
   void ExecutePlan(const isa::ExecPlan& plan);
-  bool PlanMemNeedsFabric(const isa::ExecPlan& plan, isa::Addr addr) const;
   // Issue cost: Itanium 2 issues `issue_width_bundles` bundles per cycle;
   // charged at slot 0 (branch targets are bundle-aligned, so every executed
   // bundle passes through slot 0).
@@ -211,12 +205,17 @@ class Core final : public HpmSource {
   void DoMemoryOpPlan(const isa::ExecPlan& plan, isa::Addr addr);
   void DoBranchPlan(const isa::ExecPlan& plan);
 
-  // Fused probe + memory access (checker off only): decides fabric need
-  // exactly like PlanMemNeedsFabric and, when fabric-free, performs the
+  // Fused decision + memory access for a segment: decides fabric need with
+  // the cache stack's Try* accesses and, when fabric-free, performs the
   // access exactly like ChargeIssue + DoMemoryOpPlan. Returns false with
   // no simulated side effects when the step must stop the segment; the
   // issue cycle is charged only on success (the access time is computed
-  // as if it had been). Does not advance the pc.
+  // as if it had been). Does not advance the pc. TryMemoryOp picks the
+  // instantiation once per op: kHooks adds the checker and memory-observer
+  // calls and the fast-forward commit, so the common instantiation carries
+  // no per-op hook tests.
+  bool TryMemoryOp(const isa::ExecPlan& plan, isa::Addr addr, bool slot0);
+  template <bool kHooks>
   bool TryMemoryOpPlan(const isa::ExecPlan& plan, isa::Addr addr, bool slot0);
 
   // Tjit-enabled segment loop: interpreter with loop-edge harvesting, the

@@ -21,7 +21,7 @@ constexpr Cycle kMaxCycle = std::numeric_limits<Cycle>::max();
 
 // Advances one core to the end of its current segment: consecutive steps
 // that stay inside the quantum window and touch only core-private state.
-// The fabric guard turns any probe/execution mismatch into a hard error
+// The fabric guard turns any Try*/access-path mismatch into a hard error
 // instead of a silent determinism bug.
 void RunSegment(cpu::Core& core, mem::CacheStack& stack, Cycle q_end) {
   stack.set_fabric_guard(true);
@@ -48,7 +48,8 @@ void RunCommitRounds(Machine& m, const std::vector<cpu::Core*>& running,
     counters.segments += running.size();
 
     // A core still inside the window is stopped on a fabric access (the
-    // probe is exact); everyone else halted or reached the quantum edge.
+    // Try* decision is exact); everyone else halted or reached the quantum
+    // edge.
     pending.clear();
     for (cpu::Core* core : running) {
       if (!core->halted() && core->now() < q_end) {
@@ -127,19 +128,25 @@ void Run(Machine& m, const std::vector<CpuId>& active,
 
     if (running.size() == 1) {
       // One runnable core: program order *is* canonical commit order, so
-      // the probe/commit machinery adds nothing — run straight to the
+      // the segment/commit machinery adds nothing — run straight to the
       // quantum edge. The step stream is identical to the segmented path
-      // (probes never change state). RunQuantum routes through the
-      // superblock executor when a translation cache is attached
-      // (fabric-bound steps commit inline).
+      // (a declined Try* access changes no state). RunQuantum routes
+      // through the superblock executor when a translation cache is
+      // attached (fabric-bound steps commit inline).
       running.front()->RunQuantum(q_end);
     } else {
       RunCommitRounds(m, running, q_end, counters);
     }
     ++counters.quanta;
     if (obs::TraceSink* trace = m.trace()) {
+      // The cycles the window actually covered: up to the furthest core
+      // clock, capped at the window end (a final stall may overshoot it).
+      Cycle reached = window;
+      for (const cpu::Core* core : running) {
+        reached = std::max(reached, core->now());
+      }
       trace->Complete(m.trace_pid(), m.trace_engine_tid(), "engine",
-                      "quantum", window, config.quantum);
+                      "quantum", window, std::min(reached, q_end) - window);
     }
 
     // Round tasks (deferred sample delivery into COBRA, whose optimizer

@@ -8,8 +8,10 @@
 //     touch only core-private state (registers, its own cache hierarchy,
 //     race-free functional memory). A core stops at a step boundary when it
 //     leaves the quantum window, halts, or its next step would issue a
-//     coherence-fabric transaction (`cpu::Core::NextStepNeedsFabric`, an
-//     exact side-effect-free probe).
+//     coherence-fabric transaction. The cache stack's fused
+//     `CacheStack::TryLoad/TryStore/TryPrefetch` decide that exactly: a
+//     fabric-free access commits in the same pass, a fabric-bound one is
+//     declined with no side effects.
 //   * At the barrier that ends the segment phase, the cores stopped on a
 //     fabric access are committed one at a time in canonical
 //     (stop-cycle, cpu-id) order: the pending step executes whole — bus or

@@ -169,7 +169,7 @@ class Machine {
   // runtime hold into cores/stacks stay valid. Attach subsystems (COBRA
   // runtime, perfmon) BEFORE restoring — restore only rewrites state, it
   // does not recreate hooks. Host-side acceleration state (translation
-  // caches, probe memos, way hints) is simply dropped.
+  // caches, superblock resume hints, way hints) is simply dropped.
   //
   // The StateWriter/StateReader forms compose: external subsystems append
   // their own sections after the machine's (CobraRuntime::SaveState does).

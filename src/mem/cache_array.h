@@ -53,7 +53,8 @@ class CacheArray {
 
   // Looks the line up without touching LRU (used by snoops). Returns
   // nullptr on miss. Inline with a per-set way hint: the demand path and
-  // the engine's fabric probes call this for every memory access.
+  // the cache stack's fused Try* accesses call this for every memory
+  // access.
   Line* Probe(Addr addr) {
     const Addr line_addr = LineAddrOf(addr);
     const std::size_t set = SetOf(addr);
@@ -186,9 +187,9 @@ class CacheArray {
   std::vector<Line> lines_;  // sets_ * assoc_, set-major
   // Per-set most-recently-hit way. A pure host-side lookup hint: Probe
   // checks this way first and only falls back to the full associativity
-  // scan on a hint miss, so the ~99%-hit demand path and the engine's
-  // *NeedsFabric probes cost one tag compare instead of `assoc_`. Carries
-  // no simulated state — hits find the same unique line with the same
+  // scan on a hint miss, so the ~99%-hit demand path and the fused Try*
+  // accesses cost one tag compare instead of `assoc_`. Carries no
+  // simulated state — hits find the same unique line with the same
   // LRU/stats effects the scan would.
   std::vector<std::uint8_t> mru_way_;  // sets_ entries
   std::uint64_t lru_clock_ = 0;

@@ -1,8 +1,5 @@
 #include "mem/cache_stack.h"
 
-#include <algorithm>
-#include <bit>
-
 #include "support/check.h"
 
 namespace cobra::mem {
@@ -13,8 +10,7 @@ CacheStack::CacheStack(CpuId cpu, const MemConfig& cfg)
       policy_(&CoherencePolicy::For(cfg.protocol)),
       l1_(cfg.l1.size_bytes, cfg.l1.line_bytes, cfg.l1.associativity),
       l2_(cfg.l2.size_bytes, cfg.l2.line_bytes, cfg.l2.associativity),
-      l3_(cfg.l3.size_bytes, cfg.l3.line_bytes, cfg.l3.associativity),
-      memo_shift_(std::countr_zero(cfg.l2.line_bytes)) {
+      l3_(cfg.l3.size_bytes, cfg.l3.line_bytes, cfg.l3.associativity) {
   COBRA_CHECK_MSG(cfg.l2.line_bytes == cfg.l3.line_bytes,
                   "coherence granularity is the (shared) L2/L3 line size");
   COBRA_CHECK_MSG(cfg.l1.line_bytes <= cfg.l2.line_bytes,
@@ -24,7 +20,7 @@ CacheStack::CacheStack(CpuId cpu, const MemConfig& cfg)
 FabricResult CacheStack::FabricRequest(BusOp op, Addr line_addr, Cycle now) {
   COBRA_CHECK_MSG(!fabric_guard_,
                   "coherence transaction during a core-private segment "
-                  "(engine probe out of sync with the access path)");
+                  "(Try* decision out of sync with the access path)");
   FabricResult r = fabric_->Request(cpu_, op, line_addr, now);
   if (pending_stores_ > 0) {
     // Drain-before-commit: buffered store-hit cost is paid here, before the
@@ -43,7 +39,7 @@ FabricResult CacheStack::FabricRequest(BusOp op, Addr line_addr, Cycle now) {
 void CacheStack::FabricEvictNotify(Addr line_addr) {
   COBRA_CHECK_MSG(!fabric_guard_,
                   "eviction notification during a core-private segment "
-                  "(engine probe out of sync with the access path)");
+                  "(Try* decision out of sync with the access path)");
   fabric_->EvictNotify(cpu_, line_addr);
 }
 
@@ -351,97 +347,6 @@ void CacheStack::Prefetch(Addr addr, bool excl, Cycle now) {
   const Mesi grant =
       excl_rfo && r.grant == Mesi::kE ? excl_state : r.grant;
   Fill(line, grant, now + r.latency, /*prefetched=*/true, now);
-}
-
-bool CacheStack::LoadNeedsFabric(Addr addr, bool fp, bool bias) const {
-  // Mirrors Load(): L1 hits (integer only) and plain L2/L3 hits stay
-  // private; an ld.bias hit on a Shared L2 line upgrades in the background;
-  // a full miss always reaches the fabric.  Note that an L1 or Shared-L3
-  // hit satisfies the current bias load privately but must not memoize
-  // kMemoOwned: the refill can leave a Shared line in L2 that a later bias
-  // load would have to upgrade.
-  const Addr line_addr = CohLine(addr);
-  const bool wants_owned = bias && policy_->bias_upgrades();
-  if (MemoHas(line_addr, wants_owned ? kMemoOwned : kMemoPresent)) {
-    return false;
-  }
-  if (!fp && l1_.Probe(addr) != nullptr) {
-    MemoSet(line_addr, kMemoPresent);  // inclusion: L1 hit => in L3
-    return false;
-  }
-  if (const auto* line = l2_.Probe(addr)) {
-    if (!CohWritable(line->state)) {
-      if (bias && policy_->bias_upgrades()) return true;
-      MemoSet(line_addr, kMemoPresent);
-      return false;
-    }
-    MemoSet(line_addr, kMemoPresent | kMemoOwned);
-    return false;
-  }
-  if (const auto* line = l3_.Probe(addr)) {  // L2 refill is internal
-    MemoSet(line_addr, !CohWritable(line->state)
-                           ? kMemoPresent
-                           : kMemoPresent | kMemoOwned);
-    return false;
-  }
-  return true;
-}
-
-bool CacheStack::StoreNeedsFabric(Addr addr) const {
-  // Mirrors Store(): M/E hits drain locally; a store to a Shared line is a
-  // coherent write miss (full read-invalidate); a miss reads for ownership.
-  const Addr line_addr = CohLine(addr);
-  if (MemoHas(line_addr, kMemoOwned)) return false;
-  if (const auto* line = l2_.Probe(addr)) {
-    if (!CohWritable(line->state)) return true;
-    MemoSet(line_addr, kMemoPresent | kMemoOwned);
-    return false;
-  }
-  if (const auto* line = l3_.Probe(addr)) {
-    if (!CohWritable(line->state)) return true;
-    MemoSet(line_addr, kMemoPresent | kMemoOwned);
-    return false;
-  }
-  return true;
-}
-
-bool CacheStack::PrefetchNeedsFabric(Addr addr, bool excl, Cycle now) const {
-  // Mirrors Prefetch(): an in-flight fill absorbs the prefetch (MSHR
-  // merge); a present line only produces traffic for an .excl upgrade of a
-  // previously-dirty Shared line; a full miss always issues a transaction.
-  // An in-flight line memoizes only presence (its state is not inspected),
-  // and a Shared line never memoizes kMemoOwned, so the was_dirty_here
-  // condition is always re-checked where it matters.
-  const Addr line_addr = CohLine(addr);
-  const bool excl_rfo = excl && policy_->excl_prefetch_rfo();
-  if (MemoHas(line_addr, excl_rfo ? kMemoOwned : kMemoPresent)) return false;
-  if (const auto* line = l2_.Probe(line_addr)) {
-    if (line->ready_at > now) {
-      MemoSet(line_addr, kMemoPresent);
-      return false;
-    }
-    if (excl_rfo && !CohWritable(line->state) && line->was_dirty_here) {
-      return true;
-    }
-    MemoSet(line_addr, !CohWritable(line->state)
-                           ? kMemoPresent
-                           : kMemoPresent | kMemoOwned);
-    return false;
-  }
-  if (const auto* line = l3_.Probe(line_addr)) {
-    if (line->ready_at > now) {
-      MemoSet(line_addr, kMemoPresent);
-      return false;
-    }
-    if (excl_rfo && !CohWritable(line->state) && line->was_dirty_here) {
-      return true;
-    }
-    MemoSet(line_addr, !CohWritable(line->state)
-                           ? kMemoPresent
-                           : kMemoPresent | kMemoOwned);
-    return false;
-  }
-  return true;
 }
 
 SnoopReply CacheStack::Snoop(Addr line_addr, SnoopType type) {

@@ -17,8 +17,6 @@
 // The stack is a timing model: functional data lives in MainMemory.
 #pragma once
 
-#include <array>
-#include <cstddef>
 #include <cstdint>
 
 #include "mem/cache_array.h"
@@ -67,16 +65,18 @@ class CacheStack {
   // Non-binding prefetch (lfetch). Never stalls the core.
   void Prefetch(Addr addr, bool excl, Cycle now);
 
-  // --- Fused probe + access -------------------------------------------------
-  // One-pass combination of a *NeedsFabric probe and the access itself, for
-  // the core's hot dispatch path (probe-then-access walks every tag array
-  // twice). The decision phase is pure (Probe only updates the host-side
-  // way hint); if the access would reach the coherence fabric the call
-  // returns false with NO simulated side effects, and the caller stops the
-  // segment exactly as it would on a probe hit. Otherwise the commit phase
-  // replays the corresponding access's fabric-free path effect-for-effect —
-  // same LRU updates, hit/miss counts, fills and writeback counts — so a
-  // fused run is bit-identical to probe + Load/Store/Prefetch.
+  // --- Fused decision + access ----------------------------------------------
+  // The one place that decides whether an access needs the coherence
+  // fabric. The execution engine (machine/engine.h) runs core-private
+  // segments through these, so that every fabric transaction is committed
+  // in canonical (cycle, cpu-id) order. The decision phase is pure (Probe
+  // only updates the host-side way hint); if the access would reach the
+  // fabric the call returns false with NO simulated side effects, and the
+  // caller stops the segment so the engine can commit the full access.
+  // Otherwise the commit phase replays the corresponding access's
+  // fabric-free path effect-for-effect — same LRU updates, hit/miss counts,
+  // fills and writeback counts — so Try* falling back to Load/Store/Prefetch
+  // is bit-identical to always calling the full access.
   // Defined inline below the class: the superblock executor calls these for
   // every memory step, so the whole hit path must inline like Probe does.
   bool TryLoad(Addr addr, int size, bool fp, bool bias, Cycle now,
@@ -84,32 +84,10 @@ class CacheStack {
   bool TryStore(Addr addr, int size, Cycle now, AccessResult* out);
   bool TryPrefetch(Addr addr, bool excl, Cycle now);
 
-  // --- Engine probes --------------------------------------------------------
-  // Exact, side-effect-free predicates for whether the corresponding access
-  // would issue a coherence-fabric transaction. The execution engine
-  // (machine/engine.h) uses them to stop a core at the last core-private
-  // instruction of a segment, so that every fabric transaction is committed
-  // in canonical (cycle, cpu-id) order. Each probe mirrors its access path
-  // decision-for-decision; set_fabric_guard() below enforces the contract.
-  bool LoadNeedsFabric(Addr addr, bool fp, bool bias) const;
-  bool StoreNeedsFabric(Addr addr) const;
-  bool PrefetchNeedsFabric(Addr addr, bool excl, Cycle now) const;
-
   // While set, any fabric transaction from this stack aborts the simulation
-  // (the engine sets it around core-private segments; a trip means a probe
-  // above fell out of sync with its access path). Raising the guard also
-  // starts a fresh probe-memo generation (see ProbeMemo below). If the
-  // 64-bit generation ever wraps (a soak run raising the guard 2^64 times),
-  // every entry is cleared and the counter restarts at 1: entries tagged
-  // under the old numbering could otherwise alias the recycled generation
-  // and resurface stale facts.
-  void set_fabric_guard(bool on) {
-    fabric_guard_ = on;
-    if (on && ++probe_memo_.gen == 0) {
-      probe_memo_.entries.fill({});
-      probe_memo_.gen = 1;  // 0 marks never-written entries
-    }
-  }
+  // (the engine sets it around core-private segments; a trip means a Try*
+  // decision above fell out of sync with its access path).
+  void set_fabric_guard(bool on) { fabric_guard_ = on; }
 
   // Fabric-initiated snoop of this stack.
   SnoopReply Snoop(Addr line_addr, SnoopType type);
@@ -156,15 +134,6 @@ class CacheStack {
   // Mutable L2 access so checker tests can desynchronize a single level.
   CacheArray& TestOnlyL2() { return l2_; }
 
-  // Test-only: plant / read the probe-memo generation so the wrap-around
-  // reset in set_fabric_guard can be unit-tested without 2^64 toggles.
-  void TestOnlySetProbeMemoGeneration(std::uint64_t gen) {
-    probe_memo_.gen = gen;
-  }
-  std::uint64_t TestOnlyProbeMemoGeneration() const {
-    return probe_memo_.gen;
-  }
-
   // Demand + prefetch miss totals as the Itanium 2 HPM events report them.
   // Coherent write misses (stores to Shared lines that must be re-fetched
   // with ownership) count as L2/L3 misses, as on the hardware.
@@ -179,9 +148,8 @@ class CacheStack {
   void Reset();
 
   // Checkpointing: the three tag arrays, demand/coherence statistics and
-  // the store-buffer occupancy. The probe memo is host-only — raising the
-  // fabric guard starts a fresh generation, so stale facts saved before a
-  // restore can never resurface.
+  // the store-buffer occupancy. The fabric guard is engine scaffolding and
+  // is never set between segments, so it is not saved.
   void SaveState(support::StateWriter& w) const;
   bool RestoreState(support::StateReader& r);
 
@@ -235,61 +203,16 @@ class CacheStack {
   std::uint64_t coherent_write_misses_ = 0;
   int pending_stores_ = 0;  // store-buffer occupancy (drained on fabric use)
   bool fabric_guard_ = false;
-
-  // Probe memo: a generation-tagged, direct-mapped cache of facts already
-  // proven about coherence lines during the current guarded segment. Both
-  // facts are monotone within a segment — the core's own (local) activity
-  // keeps a line present in L2∪L3 (L2 victims stay in L3; L3 evictions only
-  // happen on fabric fills) and never downgrades M/E (stores go E→M; remote
-  // snoops only run between segments, when the generation is bumped) — so a
-  // memo hit can skip the full tag scans the probes would otherwise repeat
-  // for every access to a hot line.
-  //   kMemoPresent: line in L2∪L3 — plain/fp loads and non-exclusive
-  //     prefetches are fabric-free.
-  //   kMemoOwned: line in M or E — bias loads, stores and exclusive
-  //     prefetches are fabric-free as well (implies kMemoPresent).
-  static constexpr std::uint8_t kMemoPresent = 1;
-  static constexpr std::uint8_t kMemoOwned = 2;
-  struct ProbeMemo {
-    static constexpr std::size_t kEntries = 256;
-    struct Entry {
-      Addr line = 0;
-      std::uint64_t gen = 0;
-      std::uint8_t safe = 0;
-    };
-    std::array<Entry, kEntries> entries{};
-    std::uint64_t gen = 1;
-  };
-  std::size_t MemoIndex(Addr line_addr) const {
-    return (line_addr >> memo_shift_) & (ProbeMemo::kEntries - 1);
-  }
-  bool MemoHas(Addr line_addr, std::uint8_t bit) const {
-    if (!fabric_guard_) return false;  // memo is only trusted inside a segment
-    const ProbeMemo::Entry& e = probe_memo_.entries[MemoIndex(line_addr)];
-    return e.gen == probe_memo_.gen && e.line == line_addr &&
-           (e.safe & bit) != 0;
-  }
-  void MemoSet(Addr line_addr, std::uint8_t bits) const {
-    if (!fabric_guard_) return;  // memo is only trusted inside a segment
-    ProbeMemo::Entry& e = probe_memo_.entries[MemoIndex(line_addr)];
-    if (e.gen == probe_memo_.gen && e.line == line_addr) {
-      e.safe |= bits;
-    } else {
-      e = {line_addr, probe_memo_.gen, bits};
-    }
-  }
-  mutable ProbeMemo probe_memo_;
-  int memo_shift_ = 0;  // log2(coherence line size)
 };
 
-// --- Fused probe + access (inline: per-instruction hot path) ----------------
+// --- Fused decision + access (inline: per-instruction hot path) -------------
 
 inline bool CacheStack::TryLoad(Addr addr, int size, bool fp, bool bias,
                                 Cycle now, AccessResult* out) {
   (void)size;
-  // Decision phase: pure, mirroring LoadNeedsFabric decision-for-decision
-  // (the memo is not consulted — it answers yes/no but the commit phase
-  // below needs the probed lines themselves).
+  // Decision phase: pure. L1 hits (integer only) and plain L2/L3 hits stay
+  // private; an ld.bias hit on a non-writable L2 line upgrades in the
+  // background; a full miss always reaches the fabric.
   CacheArray::Line* l1_line = fp ? nullptr : l1_.Probe(addr);
   CacheArray::Line* l2_line = nullptr;
   CacheArray::Line* l3_line = nullptr;
@@ -341,9 +264,9 @@ inline bool CacheStack::TryLoad(Addr addr, int size, bool fp, bool bias,
 inline bool CacheStack::TryStore(Addr addr, int size, Cycle now,
                                  AccessResult* out) {
   (void)size;
-  // Decision phase: pure, mirroring StoreNeedsFabric (only M/E hits drain
-  // locally — every other resident state needs invalidation, upgrade or
-  // update traffic first, whichever the protocol prescribes).
+  // Decision phase: pure. Only M/E hits drain locally — every other
+  // resident state needs invalidation, upgrade or update traffic first,
+  // whichever the protocol prescribes; a miss reads for ownership.
   CacheArray::Line* l2_line = l2_.Probe(addr);
   CacheArray::Line* l3_line = nullptr;
   if (l2_line != nullptr) {
@@ -381,9 +304,9 @@ inline bool CacheStack::TryStore(Addr addr, int size, Cycle now,
 
 inline bool CacheStack::TryPrefetch(Addr addr, bool excl, Cycle now) {
   const Addr line = CohLine(addr);
-  // Decision phase: pure, mirroring PrefetchNeedsFabric (an in-flight fill
-  // absorbs the prefetch; only an .excl upgrade of a previously-dirty
-  // Shared line or a full miss reaches the fabric).
+  // Decision phase: pure. An in-flight fill absorbs the prefetch (MSHR
+  // merge); only an .excl upgrade of a previously-dirty Shared line or a
+  // full miss reaches the fabric.
   CacheArray::Line* l2_line = l2_.Probe(line);
   CacheArray::Line* l3_line = nullptr;
   const bool excl_rfo = excl && policy_->excl_prefetch_rfo();

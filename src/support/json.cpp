@@ -262,7 +262,7 @@ class Parser {
   }
 
   bool ParseRawString(std::string* out) {
-    if (text_[pos_] != '"') {
+    if (pos_ >= text_.size() || text_[pos_] != '"') {
       Fail("expected string");
       return false;
     }

@@ -418,6 +418,77 @@ TEST(EngineQuantum, MaxQuantumDaxpyFinishesAndVerifies) {
             static_cast<std::uint64_t>(kReps));
 }
 
+// Two-thread DAXPY whose arrays end exactly at the end of simulated memory,
+// so the lfetches that run ahead of the last iterations are dropped. With
+// `observe`, a memory observer counts its calls per CPU; `verify` arms the
+// coherence checker.
+struct ObservedDaxpy {
+  std::string state;
+  std::vector<std::uint64_t> observed;   // observer calls per CPU
+  std::vector<std::uint64_t> performed;  // ld + st + lfetch (dropped too)
+  std::uint64_t dropped = 0;
+};
+
+ObservedDaxpy RunObservedDaxpy(bool observe, bool verify) {
+  constexpr int kThreads = 2;
+  constexpr std::int64_t kN = 4096;
+  kgen::Program prog;
+  const kgen::LoopInfo daxpy =
+      EmitDaxpy(prog, "daxpy", kgen::PrefetchPolicy{});
+  const mem::Addr x = prog.Alloc(kN * 8);
+  const mem::Addr y = prog.Alloc(kN * 8);
+  machine::MachineConfig cfg = machine::SmpServerConfig(kThreads);
+  cfg.mem.memory_bytes = y + kN * 8;
+  cfg.verify_coherence = verify;
+  machine::Machine machine(cfg, &prog.image());
+  for (std::int64_t i = 0; i < kN; ++i) {
+    machine.memory().WriteDouble(x + 8 * static_cast<mem::Addr>(i), 1.0);
+    machine.memory().WriteDouble(y + 8 * static_cast<mem::Addr>(i), 2.0);
+  }
+  ObservedDaxpy out;
+  out.observed.assign(kThreads, 0);
+  if (observe) {
+    for (CpuId cpu = 0; cpu < kThreads; ++cpu) {
+      std::uint64_t* count = &out.observed[static_cast<std::size_t>(cpu)];
+      machine.core(cpu).SetMemObserver(
+          [count](isa::Addr, isa::Addr) { ++*count; });
+    }
+  }
+  rt::Team team(&machine, kThreads);
+  team.Run(daxpy.entry, [&](int tid, cpu::RegisterFile& regs) {
+    const auto chunk = rt::StaticChunk(tid, kThreads, kN);
+    regs.WriteGr(14, x + 8 * static_cast<mem::Addr>(chunk.begin));
+    regs.WriteGr(15, y + 8 * static_cast<mem::Addr>(chunk.begin));
+    regs.WriteGr(16, static_cast<std::uint64_t>(chunk.size()));
+    regs.WriteFr(6, 0.5);
+  });
+  std::ostringstream state;
+  AppendMachineState(state, machine);
+  out.state = state.str();
+  for (CpuId cpu = 0; cpu < kThreads; ++cpu) {
+    const mem::CacheStack::Stats& ss = machine.stack(cpu).stats();
+    const std::uint64_t dropped = machine.core(cpu).lfetches_dropped();
+    out.performed.push_back(ss.loads + ss.stores + ss.prefetches + dropped);
+    out.dropped += dropped;
+  }
+  return out;
+}
+
+// Segments commit fabric-free accesses through the fused Try* path whether
+// or not hooks are attached. The memory observer must fire exactly once per
+// performed op (dropped lfetches included), and attaching it or the
+// checker must not change a single simulated value.
+TEST(EngineSegments, MemObserverSeesEveryPerformedOpOnce) {
+  const ObservedDaxpy plain = RunObservedDaxpy(false, false);
+  ASSERT_GT(plain.dropped, 0u);
+  for (const bool verify : {false, true}) {
+    SCOPED_TRACE(verify ? "checker armed" : "checker off");
+    const ObservedDaxpy observed = RunObservedDaxpy(true, verify);
+    EXPECT_EQ(observed.state, plain.state);
+    EXPECT_EQ(observed.observed, observed.performed);
+  }
+}
+
 TEST(EngineSpec, ParsesSerialAndQuantum) {
   const Cycle kDefault = machine::EngineConfig{}.quantum;
   EXPECT_EQ(machine::ParseEngineSpec("serial").quantum, kDefault);

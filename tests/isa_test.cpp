@@ -260,7 +260,7 @@ TEST(BinaryImage, ExecPlanTracksPatches) {
   EXPECT_GT(gen0, 0u);  // AppendBundle populated the plans
 
   // The lfetch slot's plan carries the routing classification the core's
-  // fabric probe tests instead of re-classifying the decoded instruction.
+  // segment loop tests instead of re-classifying the decoded instruction.
   const ExecPlan& lf = image.PlanAt(MakePc(b0, 1));
   EXPECT_EQ(lf.handler, static_cast<std::uint16_t>(Opcode::kLfetch));
   EXPECT_TRUE(lf.cls & kPlanMem);

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mem/cache_array.h"
@@ -17,9 +18,21 @@
 #include "mem/main_memory.h"
 #include "mem/snoop_bus.h"
 #include "support/rng.h"
+#include "support/snapshot.h"
 
 namespace cobra::mem {
 namespace {
+
+// Everything a checkpoint carries: every line of every level (state, fill
+// time, LRU stamp, prefetch bits), the L1/L2/L3 and CacheStack::Stats
+// counters, coherent write misses and the store-buffer occupancy (or, for a
+// fabric, its per-CPU event counts and occupancy state).
+template <typename T>
+std::vector<std::uint8_t> StateBlob(const T& component) {
+  support::StateWriter w;
+  component.SaveState(w);
+  return w.Finish();
+}
 
 // --- MainMemory ------------------------------------------------------------
 
@@ -99,9 +112,10 @@ TEST(CacheArray, UselessPrefetchEvictionCounted) {
 
 class SmpFixture : public ::testing::Test {
  protected:
-  void Build(int cpus) {
+  void Build(int cpus, int store_buffer_entries = 0) {
     cfg_ = ItaniumSmpConfig();
     cfg_.memory_bytes = 1 << 22;
+    cfg_.store_buffer_entries = store_buffer_entries;
     bus_ = std::make_unique<SnoopBus>(cfg_);
     std::vector<CacheStack*> raw;
     for (int i = 0; i < cpus; ++i) {
@@ -192,35 +206,46 @@ TEST_F(SmpFixture, StoreToExclusiveIsSilent) {
             before);
 }
 
+// Named for the probe memo it once tested; the name stays so test history
+// matches by name. A line invalidated by a remote store between two guarded
+// segments makes the next TryLoad decline, leaving the stack untouched.
 TEST_F(SmpFixture, ProbeMemoGenerationWrapClearsStaleEntries) {
-  Build(2);
+  Build(2, /*store_buffer_entries=*/2);
   CacheStack& s = stack(0);
   s.Load(0x1000, 8, false, false, 0);  // line Exclusive in CPU0
+  s.Load(0x2000, 8, false, false, 0);  // a second private line
 
-  // Stamp a memo entry at generation 1: force the counter so the next
-  // guarded segment lands on exactly 1, then take the fabric-free probe
-  // that records "line present & owned".
-  s.TestOnlySetProbeMemoGeneration(0);
+  // First guarded segment: both accesses stay private, and the store to
+  // the Exclusive line is buffered.
+  CacheStack::AccessResult r;
   s.set_fabric_guard(true);
-  ASSERT_EQ(s.TestOnlyProbeMemoGeneration(), 1u);
-  EXPECT_FALSE(s.LoadNeedsFabric(0x1000, false, false));
+  ASSERT_TRUE(s.TryLoad(0x1000, 8, false, false, 500, &r));
+  ASSERT_TRUE(s.TryStore(0x2000, 8, 510, &r));
   s.set_fabric_guard(false);
+  ASSERT_EQ(s.stats().buffered_stores, 1u);
 
-  // Between segments a remote store invalidates the line behind the memo's
-  // back (legal: the memo is only trusted inside a guarded segment).
+  // Between segments a remote store invalidates the line.
   stack(1).Store(0x1000, 8, 1000);
   ASSERT_EQ(s.LineState(0x1000), Mesi::kI);
 
-  // Force the 2^64 wrap: the next guard entry overflows the generation to
-  // 0, which must clear the table and restart at 1. Without the clear, the
-  // entry stamped at the *old* generation 1 would alias the new one and
-  // report the invalidated line as still fabric-free.
-  s.TestOnlySetProbeMemoGeneration(
-      std::numeric_limits<std::uint64_t>::max());
+  // Next guarded segment: the load needs the fabric again, and declining
+  // it changes no stat, no line and not the store-buffer occupancy.
+  const std::vector<std::uint8_t> before = StateBlob(s);
+  const CacheStack::Stats stats_before = s.stats();
   s.set_fabric_guard(true);
-  EXPECT_EQ(s.TestOnlyProbeMemoGeneration(), 1u);
-  EXPECT_TRUE(s.LoadNeedsFabric(0x1000, false, false));
+  EXPECT_FALSE(s.TryLoad(0x1000, 8, false, false, 2000, &r));
+  EXPECT_FALSE(s.TryLoad(0x1000, 8, /*fp=*/true, false, 2000, &r));
   s.set_fabric_guard(false);
+  EXPECT_EQ(s.stats().loads, stats_before.loads);
+  EXPECT_EQ(s.stats().buffered_stores, stats_before.buffered_stores);
+  EXPECT_EQ(s.LineState(0x1000), Mesi::kI);
+  EXPECT_EQ(s.LineState(0x2000), Mesi::kM);
+  EXPECT_TRUE(StateBlob(s) == before);
+
+  // The full access the engine then commits pays the still-buffered store.
+  const auto full = s.Load(0x1000, 8, false, false, 2000);
+  EXPECT_EQ(full.source, CacheStack::Source::kCoherent);
+  EXPECT_GE(full.latency, cfg_.hitm_latency + cfg_.store_hit_latency);
 }
 
 TEST_F(SmpFixture, RfoOfModifiedLineCountsInvalHitm) {
@@ -703,6 +728,179 @@ TEST(CacheArrayProperty, RandomOpsMatchExactReferenceModel) {
       EXPECT_EQ(seen[s][i].state, model[s][i].state) << "set " << s << " mru#" << i;
     }
   }
+}
+
+// --- Fused Try* accesses against the full accesses ---------------------------
+// Try* is the only place that decides whether an access needs the fabric:
+// the engine runs every segment through it and commits each declined
+// access with Load/Store/Prefetch. Two identically built systems take the
+// same seeded op stream. System A runs each op the way a segment and its
+// commit do: Try* under the fabric guard, the full access only when Try*
+// declines. System B always calls the full access. After every op the
+// results and the complete state of every stack and of the fabric must be
+// identical, and Try* must have declined exactly the accesses whose full
+// path reached the fabric (a needless decline is invisible to the state
+// comparison but would move the engine's commit order).
+
+enum class FusedOp { kLoad, kLoadFp, kLoadBias, kStore, kPrefetch, kPrefetchExcl };
+constexpr std::array<const char*, 6> kFusedOpNames = {
+    "ld", "ldf", "ld.bias", "st", "lfetch", "lfetch.excl"};
+
+struct FusedSystem {
+  FusedSystem(const MemConfig& cfg, int cpus, bool numa)
+      : memory(cfg.memory_bytes, cfg.page_bytes) {
+    if (numa) {
+      fabric = std::make_unique<DirectoryFabric>(cfg, &memory, cpus);
+    } else {
+      fabric = std::make_unique<SnoopBus>(cfg);
+    }
+    std::vector<CacheStack*> raw;
+    for (int i = 0; i < cpus; ++i) {
+      stacks.push_back(std::make_unique<CacheStack>(i, cfg));
+      stacks.back()->AttachFabric(fabric.get());
+      raw.push_back(stacks.back().get());
+    }
+    fabric->AttachStacks(raw);
+  }
+
+  MainMemory memory;
+  std::unique_ptr<CoherenceFabric> fabric;
+  std::vector<std::unique_ptr<CacheStack>> stacks;
+};
+
+// Runs `op` on `s`; with `fused` it tries the Try* access first (a fabric
+// call from inside Try* trips the guard and aborts). Sets *declined when
+// Try* returned false.
+CacheStack::AccessResult RunFusedOp(CacheStack& s, FusedOp op, Addr addr,
+                                    Cycle now, bool fused, bool* declined) {
+  CacheStack::AccessResult r;
+  *declined = false;
+  if (fused) {
+    s.set_fabric_guard(true);
+    bool done = false;
+    switch (op) {
+      case FusedOp::kLoad: done = s.TryLoad(addr, 8, false, false, now, &r); break;
+      case FusedOp::kLoadFp: done = s.TryLoad(addr, 8, true, false, now, &r); break;
+      case FusedOp::kLoadBias: done = s.TryLoad(addr, 8, false, true, now, &r); break;
+      case FusedOp::kStore: done = s.TryStore(addr, 8, now, &r); break;
+      case FusedOp::kPrefetch: done = s.TryPrefetch(addr, false, now); break;
+      case FusedOp::kPrefetchExcl: done = s.TryPrefetch(addr, true, now); break;
+    }
+    s.set_fabric_guard(false);
+    if (done) return r;
+    *declined = true;
+  }
+  switch (op) {
+    case FusedOp::kLoad: return s.Load(addr, 8, false, false, now);
+    case FusedOp::kLoadFp: return s.Load(addr, 8, true, false, now);
+    case FusedOp::kLoadBias: return s.Load(addr, 8, false, true, now);
+    case FusedOp::kStore: return s.Store(addr, 8, now);
+    case FusedOp::kPrefetch: s.Prefetch(addr, false, now); break;
+    case FusedOp::kPrefetchExcl: s.Prefetch(addr, true, now); break;
+  }
+  return r;
+}
+
+void CheckTryMatchesFullAccess(bool numa, int cpus) {
+  struct Variant {
+    int store_buffer_entries;
+    bool excl_prefetch_installs_dirty;
+  };
+  constexpr std::array<Variant, 3> kVariants = {
+      Variant{0, false}, Variant{4, false}, Variant{0, true}};
+  constexpr std::array<Protocol, 4> kProtocols = {
+      Protocol::kMesi, Protocol::kMoesi, Protocol::kDragon, Protocol::kMesif};
+  constexpr int kLines = 48;
+  constexpr int kHotLines = 12;
+  constexpr int kOps = 2500;
+
+  for (const Protocol protocol : kProtocols) {
+    for (const Variant& v : kVariants) {
+      MemConfig cfg = numa ? AltixNumaConfig() : ItaniumSmpConfig();
+      cfg.protocol = protocol;
+      cfg.store_buffer_entries = v.store_buffer_entries;
+      cfg.excl_prefetch_installs_dirty = v.excl_prefetch_installs_dirty;
+      cfg.memory_bytes = 1 << 20;
+      // A tiny hierarchy, so a few dozen lines exercise L1/L2/L3 evictions,
+      // dirty victims and L2 refills from L3.
+      cfg.l1 = {512, 64, 2};
+      cfg.l2 = {1024, 128, 2};
+      cfg.l3 = {2048, 128, 4};
+      SCOPED_TRACE(std::string(ProtocolName(protocol)) +
+                   " store_buffer=" + std::to_string(v.store_buffer_entries) +
+                   " excl_dirty=" +
+                   std::to_string(v.excl_prefetch_installs_dirty));
+
+      FusedSystem a(cfg, cpus, numa);
+      FusedSystem b(cfg, cpus, numa);
+      support::Rng rng(0x7f1e5 + static_cast<std::uint64_t>(protocol));
+      Cycle now = 0;
+      int fused_commits = 0;
+      int declines = 0;
+      int inflight_waits = 0;
+      for (int step = 0; step < kOps; ++step) {
+        const int cpu = static_cast<int>(rng.NextBounded(cpus));
+        const int line = static_cast<int>(
+            rng.NextBounded(4) != 0 ? rng.NextBounded(kHotLines)
+                                    : rng.NextBounded(kLines));
+        // Lines spread over 8 pages (NUMA homes differ), any 8-byte word.
+        const Addr addr = static_cast<Addr>(line % 8) * cfg.page_bytes +
+                          static_cast<Addr>(line / 8) * cfg.l2.line_bytes +
+                          8 * rng.NextBounded(16);
+        const auto op = static_cast<FusedOp>(rng.NextBounded(6));
+        // Small clock steps against ~130-cycle fills: demand accesses and
+        // prefetches regularly land on fills still in flight.
+        now += rng.NextBounded(24);
+
+        bool declined = false;
+        bool unused = false;
+        const std::vector<std::uint8_t> fabric_before = StateBlob(*b.fabric);
+        const auto ra = RunFusedOp(*a.stacks[static_cast<std::size_t>(cpu)],
+                                   op, addr, now, /*fused=*/true, &declined);
+        const auto rb = RunFusedOp(*b.stacks[static_cast<std::size_t>(cpu)],
+                                   op, addr, now, /*fused=*/false, &unused);
+        ++(declined ? declines : fused_commits);
+        // An L2 hit costs more than the L2 hit latency only while the
+        // line's fill is still in flight.
+        if (!declined && ra.source == CacheStack::Source::kL2 &&
+            ra.latency > cfg.l2_hit_latency) {
+          ++inflight_waits;
+        }
+
+        const std::string where =
+            "op #" + std::to_string(step) + " " +
+            kFusedOpNames[static_cast<std::size_t>(op)] + " cpu" +
+            std::to_string(cpu) + " addr " + std::to_string(addr) + " now " +
+            std::to_string(now) + (declined ? " (declined)" : " (fused)");
+        ASSERT_EQ(ra.latency, rb.latency) << where;
+        ASSERT_EQ(ra.source, rb.source) << where;
+        for (int c = 0; c < cpus; ++c) {
+          const std::size_t i = static_cast<std::size_t>(c);
+          ASSERT_TRUE(StateBlob(*a.stacks[i]) == StateBlob(*b.stacks[i]))
+              << where << ": stack of cpu" << c << " diverged";
+        }
+        const std::vector<std::uint8_t> fabric_after = StateBlob(*b.fabric);
+        ASSERT_TRUE(StateBlob(*a.fabric) == fabric_after)
+            << where << ": fabric diverged";
+        // Every fabric transaction advances the fabric's occupancy clock.
+        ASSERT_EQ(declined, fabric_after != fabric_before)
+            << where << ": Try* decision disagrees with the full access";
+        ASSERT_EQ(a.memory.HomeNode(addr), b.memory.HomeNode(addr)) << where;
+      }
+      // The stream must exercise both outcomes and the in-flight waits.
+      EXPECT_GT(fused_commits, kOps / 4);
+      EXPECT_GT(declines, kOps / 20);
+      EXPECT_GT(inflight_waits, 0);
+    }
+  }
+}
+
+TEST(FusedAccessProperty, SmpTryMatchesFullAccess) {
+  CheckTryMatchesFullAccess(/*numa=*/false, /*cpus=*/3);
+}
+
+TEST(FusedAccessProperty, NumaTryMatchesFullAccess) {
+  CheckTryMatchesFullAccess(/*numa=*/true, /*cpus=*/4);
 }
 
 }  // namespace

@@ -6,12 +6,15 @@
 // metrics agree with the counters they summarize.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 
 #include "kgen/emitters.h"
 #include "kgen/program.h"
+#include "machine/engine.h"
 #include "machine/machine.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -245,6 +248,61 @@ TEST(TraceSink, MachineEmitsTimelineWhenAttached) {
   EXPECT_GT(coherence, 0u);
 }
 
+// A quantum event spans the cycles its window actually covered, not the
+// configured quantum: at the largest quantum each region is one window, and
+// its event must not reach past the cycles the run simulated.
+TEST(TraceSink, QuantumEventsSpanTheCyclesRun) {
+  obs::TraceSink sink;
+  kgen::Program prog;
+  const kgen::LoopInfo daxpy =
+      EmitDaxpy(prog, "daxpy", kgen::PrefetchPolicy{});
+  constexpr std::int64_t kN = 1024;
+  constexpr int kReps = 2;
+  const mem::Addr x = prog.Alloc(kN * 8);
+  const mem::Addr y = prog.Alloc(kN * 8);
+  machine::Machine machine(machine::SmpServerConfig(2), &prog.image());
+  machine.SetTraceSink(&sink);
+  for (std::int64_t i = 0; i < kN; ++i) {
+    machine.memory().WriteDouble(x + 8 * static_cast<mem::Addr>(i), 1.0);
+    machine.memory().WriteDouble(y + 8 * static_cast<mem::Addr>(i), 2.0);
+  }
+  machine::EngineConfig engine;
+  engine.quantum = std::numeric_limits<Cycle>::max();
+  rt::Team team(&machine, 2, engine);
+  for (int rep = 0; rep < kReps; ++rep) {
+    team.Run(daxpy.entry, [&](int tid, cpu::RegisterFile& regs) {
+      const auto chunk = rt::StaticChunk(tid, 2, kN);
+      regs.WriteGr(14, x + 8 * static_cast<mem::Addr>(chunk.begin));
+      regs.WriteGr(15, y + 8 * static_cast<mem::Addr>(chunk.begin));
+      regs.WriteGr(16, static_cast<std::uint64_t>(chunk.size()));
+      regs.WriteFr(6, 0.5);
+    });
+  }
+  Cycle sim_cycles = 0;
+  for (CpuId cpu = 0; cpu < machine.num_cpus(); ++cpu) {
+    sim_cycles = std::max(sim_cycles, machine.core(cpu).now());
+  }
+  ASSERT_GT(sim_cycles, 0u);
+
+  std::ostringstream out;
+  sink.WriteJson(out);
+  std::string error;
+  const auto doc = Json::Parse(out.str(), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  int quanta = 0;
+  for (const Json& e : doc->At("traceEvents").elements()) {
+    const Json* name = e.Find("name");
+    if (e.At("ph").AsString() != "X" || name->AsString() != "quantum") {
+      continue;
+    }
+    ++quanta;
+    const double dur = e.At("dur").AsDouble();
+    EXPECT_GT(dur, 0.0);
+    EXPECT_LE(dur, static_cast<double>(sim_cycles));
+  }
+  EXPECT_EQ(quanta, kReps);  // one window per region
+}
+
 // --- JSON model ------------------------------------------------------------
 
 TEST(JsonModel, BuildDumpParseRoundTrip) {
@@ -275,8 +333,8 @@ TEST(JsonModel, BuildDumpParseRoundTrip) {
 }
 
 TEST(JsonModel, ParseRejectsMalformedInput) {
-  for (const char* bad : {"", "{", "[1,]", "{\"a\":}", "tru", "1 2",
-                          "{\"a\":1,}", "\"unterminated"}) {
+  for (const char* bad : {"", "{", "{ ", "{\"a\":1,", "[1,]", "{\"a\":}",
+                          "tru", "1 2", "{\"a\":1,}", "\"unterminated"}) {
     std::string error;
     EXPECT_FALSE(Json::Parse(bad, &error).has_value()) << bad;
     EXPECT_FALSE(error.empty()) << bad;

@@ -320,7 +320,7 @@ std::vector<PlanCandidate> SetB(double benefit) {
 }
 
 TEST(PlannerHysteresis, FirstAdoptionBypassesBothGates) {
-  Planner planner(Planner::Options{8.0, 1e6, 1u << 60});
+  Planner planner(Planner::Options{8.0, 1e6, std::uint64_t{1} << 60});
   const Plan& plan = planner.Propose(SetA(), /*now_cycles=*/0);
   ASSERT_EQ(plan.accepted.size(), 1u);
   EXPECT_TRUE(planner.has_plan());
@@ -382,7 +382,7 @@ TEST(PlannerHysteresis, MinProfitDeltaGatesMarginalRevisions) {
 }
 
 TEST(PlannerHysteresis, SameSelectionRefreshesScoresWithoutRevision) {
-  Planner planner(Planner::Options{8.0, 1e6, 1u << 60});
+  Planner planner(Planner::Options{8.0, 1e6, std::uint64_t{1} << 60});
   planner.Propose(SetA(), 0);
   // Same (head, kind) set with a new estimate: totals refresh in place and
   // neither gate fires — the plan in force is simply re-affirmed.
@@ -395,7 +395,7 @@ TEST(PlannerHysteresis, SameSelectionRefreshesScoresWithoutRevision) {
 }
 
 TEST(PlannerHysteresis, ResetReArmsAdoptionAfterPhaseChange) {
-  Planner planner(Planner::Options{8.0, 1e6, 1u << 60});
+  Planner planner(Planner::Options{8.0, 1e6, std::uint64_t{1} << 60});
   planner.Propose(SetA(), 0);
   planner.Propose(SetB(5000.0), 1);  // suppressed by both gates
   EXPECT_TRUE(planner.plan().Contains(0x1000));
@@ -411,7 +411,7 @@ TEST(PlannerHysteresis, ResetReArmsAdoptionAfterPhaseChange) {
 TEST(PlannerHysteresis, EmptySolveBeforeFirstPlanDoesNotArmCooldown) {
   // Early wakes often produce zero candidates. They must not start the
   // cooldown clock, or the first real plan would be suppressed.
-  Planner planner(Planner::Options{8.0, 0.0, 1u << 60});
+  Planner planner(Planner::Options{8.0, 0.0, std::uint64_t{1} << 60});
   planner.Propose({}, 0);
   EXPECT_FALSE(planner.has_plan());
   const Plan& plan = planner.Propose(SetA(), 1);
