@@ -735,193 +735,6 @@ void CobraRuntime::EpochStep(const SystemProfile& profile,
   }
 }
 
-void CobraRuntime::SaveState(support::StateWriter& w) const {
-  w.BeginSection("cobra");
-
-  driver_.SaveState(w);
-
-  w.U32(static_cast<std::uint32_t>(monitors_.size()));
-  for (const auto& monitor : monitors_) {
-    w.Bool(monitor != nullptr);
-    if (monitor != nullptr) monitor->SaveState(w);
-  }
-
-  trace_cache_.SaveState(w);
-  planner_.SaveState(w);
-
-  w.U64(stats_.evaluations);
-  w.U64(stats_.deployments);
-  w.U64(stats_.rollbacks);
-  w.U64(stats_.epochs_kept);
-  w.U64(stats_.epochs_reverted);
-  w.U64(stats_.strategy_switches);
-  w.U64(stats_.phase_changes);
-  w.U64(stats_.lfetches_rewritten);
-  w.U64(stats_.prefetches_inserted);
-  w.U64(stats_.patch_verifications);
-  w.F64(stats_.last_coherent_ratio);
-  w.U64(stats_.scev_loops_analyzed);
-  w.U64(stats_.scev_loops_solved);
-  w.U64(stats_.prior_hits);
-  w.U64(stats_.prior_mismatches);
-  w.U64(stats_.invariant_suppressed);
-  w.U64(stats_.first_deploy_cycles);
-
-  last_profile_.SaveState(w);
-  w.U64(batches_since_wake_);
-
-  w.U8(static_cast<std::uint8_t>(epoch_state_));
-  w.F64(cpi_accum_);
-  w.I64(cpi_windows_);
-  w.F64(cpi_off_);
-  w.I64(settle_windows_);
-  w.F64(epoch_on_insts_);
-  w.U64(static_cast<std::uint64_t>(epoch_deployments_.size()));
-  for (const int id : epoch_deployments_) w.I64(id);
-  w.U64(static_cast<std::uint64_t>(epoch_heads_.size()));
-  for (const isa::Addr head : epoch_heads_) w.U64(head);
-
-  w.U64(static_cast<std::uint64_t>(history_.size()));
-  for (const auto& [head, h] : history_) {
-    w.U64(head);
-    w.Bool(h.tried_noprefetch);
-    w.Bool(h.tried_excl);
-    w.Bool(h.blacklisted);
-  }
-
-  // Scev cache: keys only. The analysis is a deterministic function of the
-  // image, which restores its bits separately — re-running it rebuilds
-  // identical LoopScev values without bloating the blob.
-  w.U64(static_cast<std::uint64_t>(scev_cache_.size()));
-  for (const auto& [head, scev] : scev_cache_) {
-    w.U64(head);
-    w.U64(scev.back_branch_pc);
-  }
-
-  window_start_.SaveState(w);
-  w.Bool(reference_l3_per_inst_.has_value());
-  w.F64(reference_l3_per_inst_.value_or(0.0));
-  w.Bool(phase_shift_pending_);
-
-  w.EndSection();
-}
-
-bool CobraRuntime::RestoreState(support::StateReader& r) {
-  if (!r.EnterSection("cobra")) return false;
-
-  if (!driver_.RestoreState(r)) return false;
-
-  std::uint32_t num_monitors = 0;
-  r.U32(&num_monitors);
-  if (!r.Ok() ||
-      num_monitors != static_cast<std::uint32_t>(monitors_.size())) {
-    return false;
-  }
-  for (auto& monitor : monitors_) {
-    bool present = false;
-    r.Bool(&present);
-    // Attach-before-restore: a saved monitor must already exist here with
-    // the same (tid, cpu) binding — SaveState wrote them for validation.
-    if (!r.Ok() || present != (monitor != nullptr)) return false;
-    if (present && !monitor->RestoreState(r)) return false;
-  }
-
-  if (!trace_cache_.RestoreState(r)) return false;
-  if (!planner_.RestoreState(r)) return false;
-
-  r.U64(&stats_.evaluations);
-  r.U64(&stats_.deployments);
-  r.U64(&stats_.rollbacks);
-  r.U64(&stats_.epochs_kept);
-  r.U64(&stats_.epochs_reverted);
-  r.U64(&stats_.strategy_switches);
-  r.U64(&stats_.phase_changes);
-  r.U64(&stats_.lfetches_rewritten);
-  r.U64(&stats_.prefetches_inserted);
-  r.U64(&stats_.patch_verifications);
-  r.F64(&stats_.last_coherent_ratio);
-  r.U64(&stats_.scev_loops_analyzed);
-  r.U64(&stats_.scev_loops_solved);
-  r.U64(&stats_.prior_hits);
-  r.U64(&stats_.prior_mismatches);
-  r.U64(&stats_.invariant_suppressed);
-  r.U64(&stats_.first_deploy_cycles);
-
-  if (!last_profile_.RestoreState(r)) return false;
-  r.U64(&batches_since_wake_);
-
-  std::uint8_t epoch_state = 0;
-  r.U8(&epoch_state);
-  if (!r.Ok() || epoch_state > static_cast<std::uint8_t>(EpochState::kHold)) {
-    return false;
-  }
-  epoch_state_ = static_cast<EpochState>(epoch_state);
-  r.F64(&cpi_accum_);
-  std::int64_t cpi_windows = 0;
-  r.I64(&cpi_windows);
-  r.F64(&cpi_off_);
-  std::int64_t settle_windows = 0;
-  r.I64(&settle_windows);
-  r.F64(&epoch_on_insts_);
-  cpi_windows_ = static_cast<int>(cpi_windows);
-  settle_windows_ = static_cast<int>(settle_windows);
-
-  std::uint64_t count = 0;
-  r.U64(&count);
-  if (!r.Ok()) return false;
-  epoch_deployments_.resize(count);
-  for (int& id : epoch_deployments_) {
-    std::int64_t v = 0;
-    r.I64(&v);
-    id = static_cast<int>(v);
-  }
-  r.U64(&count);
-  if (!r.Ok()) return false;
-  epoch_heads_.resize(count);
-  for (isa::Addr& head : epoch_heads_) r.U64(&head);
-
-  r.U64(&count);
-  if (!r.Ok()) return false;
-  history_.clear();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    isa::Addr head = 0;
-    LoopHistory h;
-    r.U64(&head);
-    r.Bool(&h.tried_noprefetch);
-    r.Bool(&h.tried_excl);
-    r.Bool(&h.blacklisted);
-    if (!r.Ok()) return false;
-    history_.emplace(head, h);
-  }
-
-  r.U64(&count);
-  if (!r.Ok()) return false;
-  scev_cache_.clear();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    isa::Addr head = 0;
-    isa::Addr back = 0;
-    r.U64(&head);
-    r.U64(&back);
-    if (!r.Ok()) return false;
-    // Recompute from the restored image; no stats bumps (the restored
-    // stats already count these analyses).
-    scev_cache_.insert_or_assign(
-        head, analysis::AnalyzeLoop(machine_->image(), head, back));
-  }
-
-  if (!window_start_.RestoreState(r)) return false;
-  bool have_reference = false;
-  double reference = 0.0;
-  r.Bool(&have_reference);
-  r.F64(&reference);
-  r.Bool(&phase_shift_pending_);
-  if (!r.Ok()) return false;
-  reference_l3_per_inst_ =
-      have_reference ? std::optional<double>(reference) : std::nullopt;
-
-  return r.ExitSection();
-}
-
 void CobraRuntime::PhaseDetect(const CounterTotals& window) {
   if (window.instructions == 0) return;
   // Let the cold-start transient pass before pinning the phase reference,

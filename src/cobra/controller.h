@@ -151,17 +151,6 @@ class CobraRuntime {
   // the batch cadence).
   void ForceEvaluation() { OptimizationThreadWake(); }
 
-  // Checkpointing: appends/consumes a "cobra" section (profiles, deployed-
-  // patch bookkeeping, epoch state machine, planner hysteresis, perfmon
-  // driver buffers). Compose with Machine::SaveCheckpoint/RestoreCheckpoint
-  // on the same writer/reader; restore into a runtime that already called
-  // AttachAll for the same threads (hooks and handlers are live closures
-  // the snapshot does not carry). The scev cache restores by re-running
-  // the deterministic static analysis on the restored image, without
-  // touching the already-restored arbitration stats.
-  void SaveState(support::StateWriter& w) const;
-  bool RestoreState(support::StateReader& r);
-
  private:
   // Measured-epoch state machine.
   enum class EpochState {
@@ -246,7 +235,6 @@ class CobraRuntime {
   CounterTotals window_start_{};
   // Machine::fast_forward_generation() at the last wake: a moved generation
   // means the window spanned a fast-forwarded gap and its CPI is garbage.
-  // Host-side mode tracking, deliberately not checkpointed.
   std::uint64_t fast_forward_generation_ = 0;
   std::optional<double> reference_l3_per_inst_;
   bool phase_shift_pending_ = false;  // hysteresis for phase detection

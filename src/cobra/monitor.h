@@ -45,38 +45,6 @@ class MonitoringThread {
   }
   std::uint64_t batches_received() const { return batches_received_; }
 
-  // Checkpointing. tid/cpu are written for validation only: restore targets
-  // a monitor the runtime already attached to the same thread.
-  void SaveState(support::StateWriter& w) const {
-    w.I64(tid_);
-    w.I64(cpu_);
-    w.U64(static_cast<std::uint64_t>(usb_.size()));
-    for (const perfmon::Sample& sample : usb_) {
-      perfmon::SaveSample(w, sample);
-    }
-    profile_.SaveState(w);
-    w.U64(batches_received_);
-  }
-  bool RestoreState(support::StateReader& r) {
-    std::int64_t tid = 0;
-    std::int64_t cpu = 0;
-    std::uint64_t buffered = 0;
-    r.I64(&tid);
-    r.I64(&cpu);
-    r.U64(&buffered);
-    if (!r.Ok() || tid != tid_ || cpu != cpu_ || buffered > usb_capacity_) {
-      return false;
-    }
-    usb_.clear();
-    usb_.resize(buffered);
-    for (perfmon::Sample& sample : usb_) {
-      if (!perfmon::RestoreSample(r, &sample)) return false;
-    }
-    if (!profile_.RestoreState(r)) return false;
-    r.U64(&batches_received_);
-    return r.Ok();
-  }
-
  private:
   int tid_;
   CpuId cpu_;

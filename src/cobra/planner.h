@@ -24,7 +24,6 @@
 
 #include "cobra/optimizer.h"
 #include "isa/image.h"
-#include "support/snapshot.h"
 
 namespace cobra::core {
 
@@ -120,65 +119,6 @@ class Planner {
   bool has_plan() const { return has_plan_; }
   const PlannerStats& stats() const { return stats_; }
   const Options& options() const { return options_; }
-
-  // Checkpointing: the standing plan, its hysteresis clock, and the stats.
-  // Options are configuration, not state.
-  void SaveState(support::StateWriter& w) const {
-    w.U64(static_cast<std::uint64_t>(plan_.accepted.size()));
-    for (const PlanCandidate& c : plan_.accepted) {
-      w.U64(c.head);
-      w.U64(c.back_branch_pc);
-      w.U8(static_cast<std::uint8_t>(c.kind));
-      w.F64(c.benefit);
-      w.F64(c.cost);
-    }
-    w.F64(plan_.total_benefit);
-    w.F64(plan_.total_cost);
-    w.U64(plan_.rejected_budget);
-    w.Bool(has_plan_);
-    w.U64(last_revision_cycles_);
-    w.U64(stats_.solves);
-    w.U64(stats_.candidates_seen);
-    w.U64(stats_.accepted);
-    w.U64(stats_.rejected_budget);
-    w.U64(stats_.rejected_hysteresis);
-    w.U64(stats_.plan_revisions);
-    w.F64(stats_.estimated_benefit);
-    w.F64(stats_.realized_benefit);
-  }
-  bool RestoreState(support::StateReader& r) {
-    std::uint64_t count = 0;
-    r.U64(&count);
-    if (!r.Ok()) return false;
-    plan_.accepted.resize(count);
-    for (PlanCandidate& c : plan_.accepted) {
-      std::uint8_t kind = 0;
-      r.U64(&c.head);
-      r.U64(&c.back_branch_pc);
-      r.U8(&kind);
-      r.F64(&c.benefit);
-      r.F64(&c.cost);
-      if (!r.Ok() ||
-          kind > static_cast<std::uint8_t>(OptKind::kInsertPrefetch)) {
-        return false;
-      }
-      c.kind = static_cast<OptKind>(kind);
-    }
-    r.F64(&plan_.total_benefit);
-    r.F64(&plan_.total_cost);
-    r.U64(&plan_.rejected_budget);
-    r.Bool(&has_plan_);
-    r.U64(&last_revision_cycles_);
-    r.U64(&stats_.solves);
-    r.U64(&stats_.candidates_seen);
-    r.U64(&stats_.accepted);
-    r.U64(&stats_.rejected_budget);
-    r.U64(&stats_.rejected_hysteresis);
-    r.U64(&stats_.plan_revisions);
-    r.F64(&stats_.estimated_benefit);
-    r.F64(&stats_.realized_benefit);
-    return r.Ok();
-  }
 
  private:
   void Adopt(Plan next, std::uint64_t now_cycles);

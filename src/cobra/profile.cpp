@@ -156,83 +156,4 @@ SystemProfile SystemProfile::Aggregate(
   return out;
 }
 
-void ThreadProfile::SaveState(support::StateWriter& w) const {
-  w.U64(static_cast<std::uint64_t>(loads_.size()));
-  for (const auto& [pc, load] : loads_) load.SaveState(w);
-  w.U64(static_cast<std::uint64_t>(loops_.size()));
-  for (const auto& [head, loop] : loops_) loop.SaveState(w);
-  totals_.SaveState(w);
-  w.U64(samples_seen_);
-  w.U64(last_dear_pc_);
-  w.U64(last_dear_latency_);
-  w.U64(last_dear_addr_);
-  w.U64(prev_sample_pc_);
-  w.U64(prev_sample_time_);
-  w.Bool(have_prev_sample_);
-}
-
-bool ThreadProfile::RestoreState(support::StateReader& r) {
-  std::uint64_t num_loads = 0;
-  r.U64(&num_loads);
-  if (!r.Ok()) return false;
-  loads_.clear();
-  for (std::uint64_t i = 0; i < num_loads; ++i) {
-    DelinquentLoad load;
-    if (!load.RestoreState(r)) return false;
-    loads_.emplace(load.pc, load);
-  }
-  std::uint64_t num_loops = 0;
-  r.U64(&num_loops);
-  if (!r.Ok()) return false;
-  loops_.clear();
-  for (std::uint64_t i = 0; i < num_loops; ++i) {
-    LoopCandidate loop;
-    if (!loop.RestoreState(r)) return false;
-    loops_.emplace(loop.head, loop);
-  }
-  totals_.RestoreState(r);
-  r.U64(&samples_seen_);
-  r.U64(&last_dear_pc_);
-  r.U64(&last_dear_latency_);
-  r.U64(&last_dear_addr_);
-  r.U64(&prev_sample_pc_);
-  r.U64(&prev_sample_time_);
-  r.Bool(&have_prev_sample_);
-  return r.Ok();
-}
-
-void SystemProfile::SaveState(support::StateWriter& w) const {
-  totals.SaveState(w);
-  w.U64(static_cast<std::uint64_t>(hot_loops.size()));
-  for (const LoopCandidate& loop : hot_loops) loop.SaveState(w);
-  w.U64(static_cast<std::uint64_t>(delinquent_loads.size()));
-  for (const DelinquentLoad& load : delinquent_loads) load.SaveState(w);
-  w.U64(static_cast<std::uint64_t>(coherent_loads.size()));
-  for (const DelinquentLoad& load : coherent_loads) load.SaveState(w);
-}
-
-bool SystemProfile::RestoreState(support::StateReader& r) {
-  totals.RestoreState(r);
-  std::uint64_t count = 0;
-  r.U64(&count);
-  if (!r.Ok()) return false;
-  hot_loops.resize(count);
-  for (LoopCandidate& loop : hot_loops) {
-    if (!loop.RestoreState(r)) return false;
-  }
-  r.U64(&count);
-  if (!r.Ok()) return false;
-  delinquent_loads.resize(count);
-  for (DelinquentLoad& load : delinquent_loads) {
-    if (!load.RestoreState(r)) return false;
-  }
-  r.U64(&count);
-  if (!r.Ok()) return false;
-  coherent_loads.resize(count);
-  for (DelinquentLoad& load : coherent_loads) {
-    if (!load.RestoreState(r)) return false;
-  }
-  return r.Ok();
-}
-
 }  // namespace cobra::core

@@ -21,7 +21,6 @@
 #include "isa/types.h"
 #include "perfmon/sampling.h"
 #include "support/simtypes.h"
-#include "support/snapshot.h"
 
 namespace cobra::core {
 
@@ -44,25 +43,6 @@ struct DelinquentLoad {
                          static_cast<double>(samples)
                    : 0.0;
   }
-
-  void SaveState(support::StateWriter& w) const {
-    w.U64(pc);
-    w.U64(samples);
-    w.U64(coherent_samples);
-    w.U64(total_latency);
-    w.U64(last_data_addr);
-    w.I64(stride);
-    w.U32(stride_confirmations);
-  }
-  bool RestoreState(support::StateReader& r) {
-    r.U64(&pc);
-    r.U64(&samples);
-    r.U64(&coherent_samples);
-    r.U64(&total_latency);
-    r.U64(&last_data_addr);
-    r.I64(&stride);
-    return r.U32(&stride_confirmations);
-  }
 };
 
 // A loop candidate discovered from BTB back-edges.
@@ -84,21 +64,6 @@ struct LoopCandidate {
     return attributed_samples ? static_cast<double>(attributed_cycles) /
                                     static_cast<double>(attributed_samples)
                               : 0.0;
-  }
-
-  void SaveState(support::StateWriter& w) const {
-    w.U64(head);
-    w.U64(back_branch_pc);
-    w.U64(hits);
-    w.U64(attributed_cycles);
-    w.U64(attributed_samples);
-  }
-  bool RestoreState(support::StateReader& r) {
-    r.U64(&head);
-    r.U64(&back_branch_pc);
-    r.U64(&hits);
-    r.U64(&attributed_cycles);
-    return r.U64(&attributed_samples);
   }
 };
 
@@ -141,23 +106,6 @@ struct CounterTotals {
                             static_cast<double>(bus_memory)
                       : 0.0;
   }
-
-  void SaveState(support::StateWriter& w) const {
-    w.U64(l3_misses);
-    w.U64(bus_memory);
-    w.U64(bus_rd_hitm);
-    w.U64(bus_rd_hit);
-    w.U64(cycles);
-    w.U64(instructions);
-  }
-  bool RestoreState(support::StateReader& r) {
-    r.U64(&l3_misses);
-    r.U64(&bus_memory);
-    r.U64(&bus_rd_hitm);
-    r.U64(&bus_rd_hit);
-    r.U64(&cycles);
-    return r.U64(&instructions);
-  }
 };
 
 // The indices the four HPM counters must be programmed with for the
@@ -182,9 +130,6 @@ class ThreadProfile {
   std::uint64_t samples_seen() const { return samples_seen_; }
 
   void Clear();
-
-  void SaveState(support::StateWriter& w) const;
-  bool RestoreState(support::StateReader& r);
 
  private:
   Cycle coherent_threshold_;
@@ -211,9 +156,6 @@ struct SystemProfile {
   // Merges the given thread profiles.
   static SystemProfile Aggregate(
       const std::vector<const ThreadProfile*>& threads);
-
-  void SaveState(support::StateWriter& w) const;
-  bool RestoreState(support::StateReader& r);
 };
 
 }  // namespace cobra::core

@@ -163,74 +163,4 @@ const TraceCache::Deployment* TraceCache::Get(int id) const {
   return &deployments_[static_cast<std::size_t>(id)];
 }
 
-void TraceCache::SaveState(support::StateWriter& w) const {
-  w.U64(static_cast<std::uint64_t>(deployments_.size()));
-  for (const Deployment& d : deployments_) {
-    w.I64(d.id);
-    w.U64(d.loop.head);
-    w.U64(d.loop.back_branch_pc);
-    w.U64(d.trace_head);
-    w.U8(static_cast<std::uint8_t>(d.opt));
-    w.I64(d.lfetches_rewritten);
-    w.Bool(d.active);
-  }
-  w.U64(static_cast<std::uint64_t>(saved_bundles_.size()));
-  for (const auto& [head, slots] : saved_bundles_) {
-    w.U64(head);
-    for (const isa::EncodedSlot& slot : slots) {
-      w.U64(slot.head);
-      w.I64(slot.imm);
-    }
-  }
-  w.U64(traces_built_);
-  w.U64(redirects_active_);
-  w.U64(verifications_);
-}
-
-bool TraceCache::RestoreState(support::StateReader& r) {
-  std::uint64_t count = 0;
-  r.U64(&count);
-  if (!r.Ok()) return false;
-  std::vector<Deployment> deployments(count);
-  for (Deployment& d : deployments) {
-    std::int64_t id = 0;
-    std::uint8_t opt = 0;
-    std::int64_t rewritten = 0;
-    r.I64(&id);
-    r.U64(&d.loop.head);
-    r.U64(&d.loop.back_branch_pc);
-    r.U64(&d.trace_head);
-    r.U8(&opt);
-    r.I64(&rewritten);
-    r.Bool(&d.active);
-    if (!r.Ok() || opt > static_cast<std::uint8_t>(OptKind::kInsertPrefetch)) {
-      return false;
-    }
-    d.id = static_cast<int>(id);
-    d.opt = static_cast<OptKind>(opt);
-    d.lfetches_rewritten = static_cast<int>(rewritten);
-  }
-  r.U64(&count);
-  if (!r.Ok()) return false;
-  std::map<isa::Addr, std::array<isa::EncodedSlot, 3>> saved;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    isa::Addr head = 0;
-    std::array<isa::EncodedSlot, 3> slots{};
-    r.U64(&head);
-    for (isa::EncodedSlot& slot : slots) {
-      r.U64(&slot.head);
-      r.I64(&slot.imm);
-    }
-    if (!r.Ok()) return false;
-    saved.emplace(head, slots);
-  }
-  r.U64(&traces_built_);
-  r.U64(&redirects_active_);
-  r.U64(&verifications_);
-  if (!r.Ok()) return false;
-  deployments_ = std::move(deployments);
-  saved_bundles_ = std::move(saved);
-  return true;
-}
-
 }  // namespace cobra::core

@@ -73,12 +73,6 @@ class TraceCache {
   std::uint64_t traces_built() const { return traces_built_; }
   std::uint64_t redirects_active() const { return redirects_active_; }
 
-  // Checkpointing: bookkeeping only. The trace bundles and head redirects
-  // live in the BinaryImage, which restores its own bits — restoring this
-  // state never re-patches anything.
-  void SaveState(support::StateWriter& w) const;
-  bool RestoreState(support::StateReader& r);
-
  private:
   bool RegionIsRelocatable(const LoopRegion& loop) const;
 

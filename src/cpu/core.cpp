@@ -911,45 +911,30 @@ void Core::DoBranchPlan(const ExecPlan& plan) {
   }
 }
 
-void Core::SaveState(support::StateWriter& w) const {
-  regs_.SaveState(w);
-  hpm_.SaveState(w);
-  btb_.SaveState(w);
-  dear_.SaveState(w);
-  w.U64(pc_);
-  w.Bool(halted_);
-  w.U32(static_cast<std::uint32_t>(bundle_credit_));
-  w.U64(now_);
-  w.U64(retired_);
-  w.U64(lfetches_dropped_);
-  w.U64(sample_period_);
-  w.U64(until_sample_);
-}
-
-bool Core::RestoreState(support::StateReader& r) {
-  if (!regs_.RestoreState(r) || !hpm_.RestoreState(r) ||
-      !btb_.RestoreState(r) || !dear_.RestoreState(r)) {
+bool Core::Checkpoint(support::StateIO& io) {
+  if (!regs_.Checkpoint(io) || !hpm_.Checkpoint(io) || !btb_.Checkpoint(io) ||
+      !dear_.Checkpoint(io)) {
     return false;
   }
-  std::uint32_t credit = 0;
-  r.U64(&pc_);
-  r.Bool(&halted_);
-  r.U32(&credit);
-  r.U64(&now_);
-  r.U64(&retired_);
-  r.U64(&lfetches_dropped_);
-  r.U64(&sample_period_);
-  r.U64(&until_sample_);
-  if (!r.Ok() || credit > static_cast<std::uint32_t>(issue_width_)) {
+  io.U64(pc_);
+  io.Bool(halted_);
+  if (!io.Narrow<std::uint32_t>(bundle_credit_, 0, issue_width_,
+                                "bundle credit")) {
     return false;
   }
-  bundle_credit_ = static_cast<int>(credit);
-  // Host-side superblock resume hints never survive a restore: they point
-  // into the saved process's translation cache. The next tjit segment
-  // simply looks the pc up again.
-  resume_sb_ = nullptr;
-  resume_idx_ = 0;
-  resume_pc_ = 0;
+  io.U64(now_);
+  io.U64(retired_);
+  io.U64(lfetches_dropped_);
+  io.U64(sample_period_);
+  if (!io.U64(until_sample_)) return false;
+  if (io.loading()) {
+    // Host-side superblock resume hints never survive a restore: they point
+    // into the saved process's translation cache. The next tjit segment
+    // simply looks the pc up again.
+    resume_sb_ = nullptr;
+    resume_idx_ = 0;
+    resume_pc_ = 0;
+  }
   return true;
 }
 

@@ -163,8 +163,7 @@ class Core final : public HpmSource {
   // hook closure itself is not serialized — restore into a machine whose
   // runtime has already re-attached (AttachAll) and the restored
   // sample_period_/until_sample_ counters resume the saved cadence.
-  void SaveState(support::StateWriter& w) const;
-  bool RestoreState(support::StateReader& r);
+  bool Checkpoint(support::StateIO& io);
 
   // --- HpmSource ---------------------------------------------------------------
   std::uint64_t RawEventValue(HpmEvent event) const override;

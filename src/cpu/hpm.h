@@ -67,23 +67,17 @@ class Hpm {
 
   // Selections and baselines only — the raw totals live in the source
   // (core/cache/fabric counters), which checkpoint separately.
-  void SaveState(support::StateWriter& w) const {
-    for (const Counter& c : counters_) {
-      w.U8(static_cast<std::uint8_t>(c.event));
-      w.U64(c.baseline);
-    }
-  }
-  bool RestoreState(support::StateReader& r) {
+  bool Checkpoint(support::StateIO& io) {
     for (Counter& c : counters_) {
-      std::uint8_t event = 0;
-      r.U8(&event);
-      r.U64(&c.baseline);
-      if (event >= static_cast<std::uint8_t>(HpmEvent::kEventCount)) {
+      if (!io.Narrow<std::uint8_t>(
+              c.event, 0,
+              static_cast<std::int64_t>(HpmEvent::kEventCount) - 1,
+              "hpm event")) {
         return false;
       }
-      c.event = static_cast<HpmEvent>(event);
+      io.U64(c.baseline);
     }
-    return r.Ok();
+    return io.Ok();
   }
 
  private:
@@ -123,26 +117,13 @@ class Btb {
     count_ = 0;
   }
 
-  void SaveState(support::StateWriter& w) const {
-    for (const Entry& e : ring_) {
-      w.U64(e.source);
-      w.U64(e.target);
-    }
-    w.U32(static_cast<std::uint32_t>(head_));
-    w.U32(static_cast<std::uint32_t>(count_));
-  }
-  bool RestoreState(support::StateReader& r) {
+  bool Checkpoint(support::StateIO& io) {
     for (Entry& e : ring_) {
-      r.U64(&e.source);
-      r.U64(&e.target);
+      io.U64(e.source);
+      io.U64(e.target);
     }
-    std::uint32_t head = 0, count = 0;
-    r.U32(&head);
-    r.U32(&count);
-    if (!r.Ok() || head >= kEntries || count > kEntries) return false;
-    head_ = static_cast<int>(head);
-    count_ = static_cast<int>(count);
-    return true;
+    return io.Narrow<std::uint32_t>(head_, 0, kEntries - 1, "btb head") &&
+           io.Narrow<std::uint32_t>(count_, 0, kEntries, "btb count");
   }
 
  private:
@@ -183,22 +164,13 @@ class Dear {
     qualified_count_ = 0;
   }
 
-  void SaveState(support::StateWriter& w) const {
-    w.U64(threshold_);
-    w.U64(last_.inst_addr);
-    w.U64(last_.data_addr);
-    w.U64(last_.latency);
-    w.Bool(last_.valid);
-    w.U64(qualified_count_);
-  }
-  bool RestoreState(support::StateReader& r) {
-    r.U64(&threshold_);
-    r.U64(&last_.inst_addr);
-    r.U64(&last_.data_addr);
-    r.U64(&last_.latency);
-    r.Bool(&last_.valid);
-    r.U64(&qualified_count_);
-    return r.Ok();
+  bool Checkpoint(support::StateIO& io) {
+    io.U64(threshold_);
+    io.U64(last_.inst_addr);
+    io.U64(last_.data_addr);
+    io.U64(last_.latency);
+    io.Bool(last_.valid);
+    return io.U64(qualified_count_);
   }
 
  private:

@@ -93,32 +93,15 @@ class RegisterFile {
   // --- Checkpointing ---------------------------------------------------------
   // Physical-slot order (rotation-independent): the RRBs travel alongside,
   // so a restored file maps logical names exactly as the saved one did.
-  void SaveState(support::StateWriter& w) const {
-    for (const std::uint64_t v : gr_) w.U64(v);
-    for (const double v : fr_) w.F64(v);
-    for (const bool v : pr_) w.Bool(v);
-    w.U64(lc_);
-    w.U64(ec_);
-    w.U32(static_cast<std::uint32_t>(rrb_gr_));
-    w.U32(static_cast<std::uint32_t>(rrb_fr_));
-    w.U32(static_cast<std::uint32_t>(rrb_pr_));
-  }
-  bool RestoreState(support::StateReader& r) {
-    for (std::uint64_t& v : gr_) r.U64(&v);
-    for (double& v : fr_) r.F64(&v);
-    for (bool& v : pr_) r.Bool(&v);
-    r.U64(&lc_);
-    r.U64(&ec_);
-    std::uint32_t rrb[3] = {};
-    r.U32(&rrb[0]);
-    r.U32(&rrb[1]);
-    r.U32(&rrb[2]);
-    if (!r.Ok()) return false;
-    rrb_gr_ = static_cast<int>(rrb[0]);
-    rrb_fr_ = static_cast<int>(rrb[1]);
-    rrb_pr_ = static_cast<int>(rrb[2]);
-    return rrb_gr_ >= 0 && rrb_gr_ < isa::kNumRotGr && rrb_fr_ >= 0 &&
-           rrb_fr_ < isa::kNumRotFr && rrb_pr_ >= 0 && rrb_pr_ < isa::kNumRotPr;
+  bool Checkpoint(support::StateIO& io) {
+    for (std::uint64_t& v : gr_) io.U64(v);
+    for (double& v : fr_) io.F64(v);
+    for (bool& v : pr_) io.Bool(v);
+    io.U64(lc_);
+    io.U64(ec_);
+    return io.Narrow<std::uint32_t>(rrb_gr_, 0, isa::kNumRotGr - 1, "rrb.gr") &&
+           io.Narrow<std::uint32_t>(rrb_fr_, 0, isa::kNumRotFr - 1, "rrb.fr") &&
+           io.Narrow<std::uint32_t>(rrb_pr_, 0, isa::kNumRotPr - 1, "rrb.pr");
   }
 
  private:

@@ -89,37 +89,33 @@ void BinaryImage::SetLfetchExcl(Addr pc, bool excl) {
   PatchRaw(pc, slot);
 }
 
-void BinaryImage::SaveState(support::StateWriter& w) const {
-  w.U64(code_base_);
-  w.U64(code_cache_start_);
-  w.U64(static_cast<std::uint64_t>(slots_.size()));
-  for (const EncodedSlot& slot : slots_) {
-    w.U64(slot.head);
-    w.I64(slot.imm);
+bool BinaryImage::Checkpoint(support::StateIO& io) {
+  std::uint64_t code_base = code_base_;
+  std::uint64_t cache_start = code_cache_start_;
+  std::uint64_t num_slots = slots_.size();
+  io.U64(code_base);
+  io.U64(cache_start);
+  if (!io.Count(num_slots, 8 + 8, "slot") ||
+      !io.Expect(code_base == code_base_, "code base",
+                 static_cast<std::int64_t>(code_base),
+                 static_cast<std::int64_t>(code_base_)) ||
+      !io.Expect(num_slots % 3 == 0, "slot count (a multiple of 3)",
+                 static_cast<std::int64_t>(num_slots), 3)) {
+    return false;
   }
-  w.U64(patch_count_);
-  w.U64(plan_generation_);
-}
-
-bool BinaryImage::RestoreState(support::StateReader& r) {
-  std::uint64_t code_base = 0;
-  std::uint64_t cache_start = 0;
-  std::uint64_t num_slots = 0;
-  r.U64(&code_base);
-  r.U64(&cache_start);
-  r.U64(&num_slots);
-  if (!r.Ok() || code_base != code_base_ || num_slots % 3 != 0) return false;
-  std::vector<EncodedSlot> slots(num_slots);
-  for (EncodedSlot& slot : slots) {
-    r.U64(&slot.head);
-    r.I64(&slot.imm);
+  // Loading reads into a scratch vector, so a short blob leaves the image
+  // untouched.
+  std::vector<EncodedSlot> loaded(io.loading() ? num_slots : 0);
+  for (EncodedSlot& slot : io.loading() ? loaded : slots_) {
+    io.U64(slot.head);
+    io.I64(slot.imm);
   }
-  std::uint64_t patches = 0;
-  std::uint64_t generation = 0;
-  r.U64(&patches);
-  r.U64(&generation);
-  if (!r.Ok()) return false;
-  slots_ = std::move(slots);
+  std::uint64_t patches = patch_count_;
+  std::uint64_t generation = plan_generation_;
+  io.U64(patches);
+  if (!io.U64(generation)) return false;
+  if (!io.loading()) return true;
+  slots_ = std::move(loaded);
   decoded_.resize(slots_.size());
   plans_.resize(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {

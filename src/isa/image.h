@@ -120,8 +120,7 @@ class BinaryImage {
   // twins, exactly as PatchRaw would. The saved image may hold MORE bundles
   // than the restoring one: trace bundles appended to the code cache after
   // the builder ran are recreated by growing the image.
-  void SaveState(support::StateWriter& w) const;
-  bool RestoreState(support::StateReader& r);
+  bool Checkpoint(support::StateIO& io);
 
   // Test-only fault injection: writes the raw slot WITHOUT re-decoding, so
   // tests can seed corrupt encodings for the lint / patch-safety verifier

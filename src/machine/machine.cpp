@@ -358,126 +358,89 @@ void Machine::EngineExit() {
   if (--engine_depth_ == 0 && checker_) checker_->OnRunEnd();
 }
 
-void Machine::SaveCheckpoint(support::StateWriter& w) const {
-  w.BeginSection("machine");
-  w.U32(static_cast<std::uint32_t>(cores_.size()));
-  w.U8(static_cast<std::uint8_t>(cfg_.fabric));
-  w.U8(static_cast<std::uint8_t>(cfg_.mem.protocol));
-  w.EndSection();
-
-  w.BeginSection("image");
-  image_->SaveState(w);
-  w.EndSection();
-
-  w.BeginSection("memory");
-  memory_->SaveState(w);
-  w.EndSection();
+bool Machine::Checkpoint(support::StateIO& io) {
+  const auto section = [&io](std::string_view name, auto&& fields) {
+    return io.BeginSection(name) && fields() && io.EndSection();
+  };
+  // Shape gate first: nothing is mutated until the blob is known to match
+  // this machine's geometry and protocol.
+  std::uint32_t cpus = static_cast<std::uint32_t>(cores_.size());
+  std::uint8_t fabric_kind = static_cast<std::uint8_t>(cfg_.fabric);
+  std::uint8_t protocol = static_cast<std::uint8_t>(cfg_.mem.protocol);
+  if (!section("machine", [&] {
+        io.U32(cpus);
+        io.U8(fabric_kind);
+        io.U8(protocol);
+        return io.Expect(cpus == cores_.size(), "CPUs", cpus,
+                         static_cast<std::int64_t>(cores_.size())) &&
+               io.Expect(fabric_kind == static_cast<std::uint8_t>(cfg_.fabric),
+                         "fabric kind", fabric_kind,
+                         static_cast<std::int64_t>(cfg_.fabric)) &&
+               io.Expect(
+                   protocol == static_cast<std::uint8_t>(cfg_.mem.protocol),
+                   "protocol", protocol,
+                   static_cast<std::int64_t>(cfg_.mem.protocol));
+      })) {
+    return false;
+  }
 
   // The checker front delegates to the real fabric, so the bytes are the
   // same either way; going through it lets restore re-sync the oracle.
-  const mem::CoherenceFabric* front =
-      checker_ ? static_cast<const mem::CoherenceFabric*>(checker_.get())
-               : fabric_.get();
-  w.BeginSection("fabric");
-  front->SaveState(w);
-  w.EndSection();
-
-  for (std::size_t cpu = 0; cpu < stacks_.size(); ++cpu) {
-    w.BeginSection("stack" + std::to_string(cpu));
-    stacks_[cpu]->SaveState(w);
-    w.EndSection();
-  }
-  for (std::size_t cpu = 0; cpu < cores_.size(); ++cpu) {
-    w.BeginSection("cpu" + std::to_string(cpu));
-    cores_[cpu]->SaveState(w);
-    w.EndSection();
-  }
-
-  w.BeginSection("engine");
-  w.U64(engine_counters_.quanta);
-  w.U64(engine_counters_.segment_phases);
-  w.U64(engine_counters_.segments);
-  w.U64(engine_counters_.commits);
-  w.U64(engine_counters_.rounds);
-  w.EndSection();
-}
-
-bool Machine::RestoreCheckpoint(support::StateReader& r) {
-  // Shape gate first: nothing is mutated until the blob is known to match
-  // this machine's geometry and protocol.
-  if (!r.EnterSection("machine")) return false;
-  std::uint32_t cpus = 0;
-  std::uint8_t fabric_kind = 0;
-  std::uint8_t protocol = 0;
-  r.U32(&cpus);
-  r.U8(&fabric_kind);
-  r.U8(&protocol);
-  if (!r.ExitSection() || !r.Ok()) return false;
-  if (cpus != static_cast<std::uint32_t>(cores_.size()) ||
-      fabric_kind != static_cast<std::uint8_t>(cfg_.fabric) ||
-      protocol != static_cast<std::uint8_t>(cfg_.mem.protocol)) {
-    return false;
-  }
-
-  if (!r.EnterSection("image") || !image_->RestoreState(r) ||
-      !r.ExitSection()) {
-    return false;
-  }
-  // Memory before fabric: the checker front re-snapshots its golden oracle
-  // from functional memory when its fabric section restores.
-  if (!r.EnterSection("memory") || !memory_->RestoreState(r) ||
-      !r.ExitSection()) {
-    return false;
-  }
   mem::CoherenceFabric* front =
       checker_ ? static_cast<mem::CoherenceFabric*>(checker_.get())
                : fabric_.get();
-  if (!r.EnterSection("fabric") || !front->RestoreState(r) ||
-      !r.ExitSection()) {
+  // Memory before fabric: the checker front re-snapshots its golden oracle
+  // from functional memory when its fabric section restores.
+  if (!section("image", [&] { return image_->Checkpoint(io); }) ||
+      !section("memory", [&] { return memory_->Checkpoint(io); }) ||
+      !section("fabric", [&] { return front->Checkpoint(io); })) {
     return false;
   }
   for (std::size_t cpu = 0; cpu < stacks_.size(); ++cpu) {
-    if (!r.EnterSection("stack" + std::to_string(cpu)) ||
-        !stacks_[cpu]->RestoreState(r) || !r.ExitSection()) {
+    if (!section("stack" + std::to_string(cpu),
+                 [&] { return stacks_[cpu]->Checkpoint(io); })) {
       return false;
     }
   }
   for (std::size_t cpu = 0; cpu < cores_.size(); ++cpu) {
-    if (!r.EnterSection("cpu" + std::to_string(cpu)) ||
-        !cores_[cpu]->RestoreState(r) || !r.ExitSection()) {
+    if (!section("cpu" + std::to_string(cpu),
+                 [&] { return cores_[cpu]->Checkpoint(io); })) {
       return false;
     }
   }
-  if (!r.EnterSection("engine")) return false;
-  r.U64(&engine_counters_.quanta);
-  r.U64(&engine_counters_.segment_phases);
-  r.U64(&engine_counters_.segments);
-  r.U64(&engine_counters_.commits);
-  r.U64(&engine_counters_.rounds);
-  if (!r.ExitSection() || !r.Ok()) return false;
+  if (!section("engine", [&] {
+        io.U64(engine_counters_.quanta);
+        io.U64(engine_counters_.segment_phases);
+        io.U64(engine_counters_.segments);
+        io.U64(engine_counters_.commits);
+        return io.U64(engine_counters_.rounds);
+      })) {
+    return false;
+  }
 
   // Host-side acceleration state is dropped, not restored: superblocks may
   // bake in plans from before the image restore. BeginSegment would catch a
   // generation change, but a restore can land on the *same* generation with
   // different bits, so flush unconditionally.
-  for (auto& tc : tjit_caches_) tc->Flush();
+  if (io.loading()) {
+    for (auto& tc : tjit_caches_) tc->Flush();
+  }
   return true;
 }
 
 std::vector<std::uint8_t> Machine::SaveCheckpoint() const {
   support::StateWriter w;
-  SaveCheckpoint(w);
+  // Saving only reads the fields Checkpoint lists.
+  const_cast<Machine*>(this)->Checkpoint(w);
   return w.Finish();
 }
 
 bool Machine::RestoreCheckpoint(const std::vector<std::uint8_t>& blob,
                                 std::string* error) {
   support::StateReader r;
-  if (!r.Open(blob) || !RestoreCheckpoint(r) || !r.AtEnd()) {
+  if (!r.Open(blob) || !Checkpoint(r) || !r.AtEnd()) {
     if (error != nullptr) {
-      *error = r.Ok() ? (r.AtEnd() ? "machine shape mismatch"
-                                   : "trailing bytes after machine sections")
-                      : r.error();
+      *error = r.Ok() ? "trailing bytes after machine sections" : r.error();
     }
     return false;
   }

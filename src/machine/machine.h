@@ -163,25 +163,23 @@ class Machine {
   // --- Checkpointing ---------------------------------------------------------
   // Serializes every component that carries simulated state (image, memory,
   // fabric, per-CPU cache stacks and cores, engine counters) as named
-  // sections. Restoring into a freshly built machine of the same
-  // configuration is fingerprint-identical to never having paused: the
-  // restore happens in place (no reallocation), so pointers the engine and
-  // runtime hold into cores/stacks stay valid. Attach subsystems (COBRA
-  // runtime, perfmon) BEFORE restoring — restore only rewrites state, it
-  // does not recreate hooks. Host-side acceleration state (translation
-  // caches, superblock resume hints, way hints) is simply dropped.
+  // sections of a sealed blob (magic, version, checksum). Restoring into a
+  // freshly built machine of the same configuration is fingerprint-identical
+  // to never having paused: the restore happens in place (no reallocation),
+  // so pointers the engine and runtime hold into cores/stacks stay valid.
+  // Attach subsystems (COBRA runtime, perfmon) BEFORE restoring — restore
+  // only rewrites state, it does not recreate hooks. Host-side acceleration
+  // state (translation caches, superblock resume hints, way hints) is simply
+  // dropped.
   //
-  // The StateWriter/StateReader forms compose: external subsystems append
-  // their own sections after the machine's (CobraRuntime::SaveState does).
-  // The blob forms seal/validate a complete snapshot (magic, version,
-  // checksum) and are what cobra_bench and the tests use. RestoreCheckpoint
-  // validates the machine-shape section before mutating anything; a blob
-  // for a different geometry/protocol is rejected with the machine
-  // untouched. (Mid-stream failures after that can leave a partial restore,
-  // but the up-front whole-blob checksum in StateReader::Open makes them
-  // unreachable for blobs produced by SaveCheckpoint on this build.)
-  void SaveCheckpoint(support::StateWriter& w) const;
-  bool RestoreCheckpoint(support::StateReader& r);
+  // RestoreCheckpoint returns false with a diagnostic naming the refused
+  // section and field. The header, the checksum and the machine-shape
+  // section (CPU count, fabric kind, protocol) are checked before anything
+  // is mutated, and no blob-supplied count sizes an allocation beyond the
+  // bytes left in its section. A blob that passes those gates but is
+  // refused later — e.g. a cache geometry that differs from this machine's
+  // — leaves the sections already restored (image, memory, fabric, ...)
+  // rewritten: the machine must then be rebuilt or restored again.
   std::vector<std::uint8_t> SaveCheckpoint() const;
   bool RestoreCheckpoint(const std::vector<std::uint8_t>& blob,
                          std::string* error = nullptr);
@@ -234,6 +232,9 @@ class Machine {
   };
 
  private:
+  // The section list behind Save/RestoreCheckpoint, in blob order.
+  bool Checkpoint(support::StateIO& io);
+
   void RegisterMetrics();
 
   MachineConfig cfg_;

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "mem/coherence.h"
@@ -125,53 +127,41 @@ class CacheArray {
 
   // Geometry is config-derived and must match at restore; the mru_way_
   // lookup hint is host-only and simply reset (any value is correct).
-  void SaveState(support::StateWriter& w) const {
-    w.U64(static_cast<std::uint64_t>(sets_));
-    w.U32(static_cast<std::uint32_t>(assoc_));
-    for (const Line& line : lines_) {
-      w.U64(line.line_addr);
-      w.U8(static_cast<std::uint8_t>(line.state));
-      w.U64(line.ready_at);
-      w.U64(line.lru);
-      w.Bool(line.prefetched);
-      w.Bool(line.referenced);
-      w.Bool(line.was_dirty_here);
-    }
-    w.U64(lru_clock_);
-    w.U64(stats_.hits);
-    w.U64(stats_.misses);
-    w.U64(stats_.evictions);
-    w.U64(stats_.dirty_evictions);
-    w.U64(stats_.useless_prefetch_evictions);
-  }
-  bool RestoreState(support::StateReader& r) {
-    std::uint64_t sets = 0;
-    std::uint32_t assoc = 0;
-    r.U64(&sets);
-    r.U32(&assoc);
-    if (!r.Ok() || sets != sets_ || assoc != static_cast<std::uint32_t>(assoc_)) {
+  // `level` ("L1", "L2", "L3") names the array in a refusal.
+  bool Checkpoint(support::StateIO& io, std::string_view level) {
+    std::uint64_t sets = sets_;
+    std::uint32_t assoc = static_cast<std::uint32_t>(assoc_);
+    io.U64(sets);
+    io.U32(assoc);
+    const std::string name(level);
+    if (!io.Expect(sets == sets_, name + " sets",
+                   static_cast<std::int64_t>(sets),
+                   static_cast<std::int64_t>(sets_)) ||
+        !io.Expect(assoc == static_cast<std::uint32_t>(assoc_),
+                   name + " associativity", assoc, assoc_)) {
       return false;
     }
+    const std::string state_name = name + " line state";
     for (Line& line : lines_) {
-      std::uint8_t state = 0;
-      r.U64(&line.line_addr);
-      r.U8(&state);
-      r.U64(&line.ready_at);
-      r.U64(&line.lru);
-      r.Bool(&line.prefetched);
-      r.Bool(&line.referenced);
-      r.Bool(&line.was_dirty_here);
-      if (state > static_cast<std::uint8_t>(Mesi::kSc)) return false;
-      line.state = static_cast<Mesi>(state);
+      io.U64(line.line_addr);
+      if (!io.Narrow<std::uint8_t>(line.state, 0,
+                                   static_cast<std::int64_t>(Mesi::kSc),
+                                   state_name)) {
+        return false;
+      }
+      io.U64(line.ready_at);
+      io.U64(line.lru);
+      io.Bool(line.prefetched);
+      io.Bool(line.referenced);
+      io.Bool(line.was_dirty_here);
     }
-    r.U64(&lru_clock_);
-    r.U64(&stats_.hits);
-    r.U64(&stats_.misses);
-    r.U64(&stats_.evictions);
-    r.U64(&stats_.dirty_evictions);
-    r.U64(&stats_.useless_prefetch_evictions);
-    if (!r.Ok()) return false;
-    std::fill(mru_way_.begin(), mru_way_.end(), 0);
+    io.U64(lru_clock_);
+    io.U64(stats_.hits);
+    io.U64(stats_.misses);
+    io.U64(stats_.evictions);
+    io.U64(stats_.dirty_evictions);
+    if (!io.U64(stats_.useless_prefetch_evictions)) return false;
+    if (io.loading()) std::fill(mru_way_.begin(), mru_way_.end(), 0);
     return true;
   }
 

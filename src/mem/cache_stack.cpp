@@ -403,54 +403,29 @@ void CacheStack::Reset() {
   pending_stores_ = 0;
 }
 
-void CacheStack::SaveState(support::StateWriter& w) const {
-  l1_.SaveState(w);
-  l2_.SaveState(w);
-  l3_.SaveState(w);
-  w.U64(stats_.loads);
-  w.U64(stats_.stores);
-  w.U64(stats_.prefetches);
-  w.U64(stats_.prefetch_bus_requests);
-  w.U64(stats_.prefetch_upgrades);
-  w.U64(stats_.l2_writebacks);
-  w.U64(stats_.fabric_writebacks);
-  w.U64(stats_.store_upgrades);
-  w.U64(stats_.store_updates);
-  w.U64(stats_.snoop_downgrades);
-  w.U64(stats_.snoop_invalidations);
-  w.U64(stats_.snoop_updates);
-  w.U64(stats_.hitm_supplies);
-  w.U64(stats_.buffered_stores);
-  w.U64(coherent_write_misses_);
-  w.U32(static_cast<std::uint32_t>(pending_stores_));
-}
-
-bool CacheStack::RestoreState(support::StateReader& r) {
-  if (!l1_.RestoreState(r) || !l2_.RestoreState(r) || !l3_.RestoreState(r)) {
+bool CacheStack::Checkpoint(support::StateIO& io) {
+  if (!l1_.Checkpoint(io, "L1") || !l2_.Checkpoint(io, "L2") ||
+      !l3_.Checkpoint(io, "L3")) {
     return false;
   }
-  r.U64(&stats_.loads);
-  r.U64(&stats_.stores);
-  r.U64(&stats_.prefetches);
-  r.U64(&stats_.prefetch_bus_requests);
-  r.U64(&stats_.prefetch_upgrades);
-  r.U64(&stats_.l2_writebacks);
-  r.U64(&stats_.fabric_writebacks);
-  r.U64(&stats_.store_upgrades);
-  r.U64(&stats_.store_updates);
-  r.U64(&stats_.snoop_downgrades);
-  r.U64(&stats_.snoop_invalidations);
-  r.U64(&stats_.snoop_updates);
-  r.U64(&stats_.hitm_supplies);
-  r.U64(&stats_.buffered_stores);
-  r.U64(&coherent_write_misses_);
-  std::uint32_t pending = 0;
-  r.U32(&pending);
-  if (!r.Ok() || pending > static_cast<std::uint32_t>(cfg_.store_buffer_entries)) {
-    return false;
-  }
-  pending_stores_ = static_cast<int>(pending);
-  return true;
+  io.U64(stats_.loads);
+  io.U64(stats_.stores);
+  io.U64(stats_.prefetches);
+  io.U64(stats_.prefetch_bus_requests);
+  io.U64(stats_.prefetch_upgrades);
+  io.U64(stats_.l2_writebacks);
+  io.U64(stats_.fabric_writebacks);
+  io.U64(stats_.store_upgrades);
+  io.U64(stats_.store_updates);
+  io.U64(stats_.snoop_downgrades);
+  io.U64(stats_.snoop_invalidations);
+  io.U64(stats_.snoop_updates);
+  io.U64(stats_.hitm_supplies);
+  io.U64(stats_.buffered_stores);
+  io.U64(coherent_write_misses_);
+  return io.Narrow<std::uint32_t>(pending_stores_, 0,
+                                  cfg_.store_buffer_entries,
+                                  "store buffer occupancy");
 }
 
 }  // namespace cobra::mem

@@ -150,8 +150,7 @@ class CacheStack {
   // Checkpointing: the three tag arrays, demand/coherence statistics and
   // the store-buffer occupancy. The fabric guard is engine scaffolding and
   // is never set between segments, so it is not saved.
-  void SaveState(support::StateWriter& w) const;
-  bool RestoreState(support::StateReader& r);
+  bool Checkpoint(support::StateIO& io);
 
  private:
   Addr CohLine(Addr addr) const { return l2_.LineAddrOf(addr); }

@@ -96,27 +96,16 @@ struct BusEventCounts {
     return *this;
   }
 
-  void SaveState(support::StateWriter& w) const {
-    w.U64(bus_memory);
-    w.U64(bus_rd_hit);
-    w.U64(bus_rd_hitm);
-    w.U64(bus_rd_inval_all_hitm);
-    w.U64(bus_upgrades);
-    w.U64(bus_writebacks);
-    w.U64(bus_updates);
-    w.U64(c2c_transfers);
-    w.U64(remote_transactions);
-  }
-  bool RestoreState(support::StateReader& r) {
-    r.U64(&bus_memory);
-    r.U64(&bus_rd_hit);
-    r.U64(&bus_rd_hitm);
-    r.U64(&bus_rd_inval_all_hitm);
-    r.U64(&bus_upgrades);
-    r.U64(&bus_writebacks);
-    r.U64(&bus_updates);
-    r.U64(&c2c_transfers);
-    return r.U64(&remote_transactions);
+  bool Checkpoint(support::StateIO& io) {
+    io.U64(bus_memory);
+    io.U64(bus_rd_hit);
+    io.U64(bus_rd_hitm);
+    io.U64(bus_rd_inval_all_hitm);
+    io.U64(bus_upgrades);
+    io.U64(bus_writebacks);
+    io.U64(bus_updates);
+    io.U64(c2c_transfers);
+    return io.U64(remote_transactions);
   }
 };
 
@@ -167,13 +156,9 @@ class CoherenceFabric {
 
   virtual void ResetCounts() = 0;
 
-  // Checkpointing. Default no-ops cover fabrics with no serializable state
-  // of their own (the verify::CoherenceChecker wrapper delegates instead).
-  virtual void SaveState(support::StateWriter& w) const { (void)w; }
-  virtual bool RestoreState(support::StateReader& r) {
-    (void)r;
-    return true;
-  }
+  // Checkpointing: lists the fabric's simulated state (the
+  // verify::CoherenceChecker wrapper delegates to the real fabric).
+  virtual bool Checkpoint(support::StateIO& io) = 0;
 };
 
 }  // namespace cobra::mem

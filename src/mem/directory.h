@@ -77,57 +77,44 @@ class DirectoryFabric : public CoherenceFabric {
   // Cycles spent queued on node buses (contention measure).
   Cycle queue_cycles() const override { return queue_cycles_; }
 
-  // Directory entries are emitted sorted by line address so the blob is a
-  // deterministic function of simulated state (the hash map's iteration
-  // order is not).
-  void SaveState(support::StateWriter& w) const override {
-    w.U32(static_cast<std::uint32_t>(per_cpu_.size()));
-    w.U32(static_cast<std::uint32_t>(node_bus_free_.size()));
-    for (const BusEventCounts& c : per_cpu_) c.SaveState(w);
-    total_.SaveState(w);
-    for (Cycle free : node_bus_free_) w.U64(free);
-    w.U64(queue_cycles_);
-    std::vector<Addr> addrs;
-    addrs.reserve(dir_.size());
-    for (const auto& [line_addr, entry] : dir_) addrs.push_back(line_addr);
-    std::sort(addrs.begin(), addrs.end());
-    w.U64(static_cast<std::uint64_t>(addrs.size()));
-    for (Addr line_addr : addrs) {
-      const Entry& entry = dir_.at(line_addr);
-      w.U64(line_addr);
-      w.U32(entry.sharers);
-      w.I64(entry.owner);
-    }
-  }
-  bool RestoreState(support::StateReader& r) override {
-    std::uint32_t cpus = 0;
-    std::uint32_t nodes = 0;
-    r.U32(&cpus);
-    r.U32(&nodes);
-    if (!r.Ok() || cpus != static_cast<std::uint32_t>(per_cpu_.size()) ||
-        nodes != static_cast<std::uint32_t>(node_bus_free_.size())) {
+  bool Checkpoint(support::StateIO& io) override {
+    std::uint32_t cpus = static_cast<std::uint32_t>(per_cpu_.size());
+    std::uint32_t nodes = static_cast<std::uint32_t>(node_bus_free_.size());
+    io.U32(cpus);
+    io.U32(nodes);
+    if (!io.Expect(cpus == per_cpu_.size(), "directory CPUs", cpus,
+                   static_cast<std::int64_t>(per_cpu_.size())) ||
+        !io.Expect(nodes == node_bus_free_.size(), "directory nodes", nodes,
+                   static_cast<std::int64_t>(node_bus_free_.size()))) {
       return false;
     }
-    for (BusEventCounts& c : per_cpu_) c.RestoreState(r);
-    total_.RestoreState(r);
-    for (Cycle& free : node_bus_free_) r.U64(&free);
-    r.U64(&queue_cycles_);
-    std::uint64_t entries = 0;
-    r.U64(&entries);
-    if (!r.Ok()) return false;
-    dir_.clear();
-    for (std::uint64_t i = 0; i < entries; ++i) {
-      Addr line_addr = 0;
-      Entry entry;
-      std::int64_t owner = 0;
-      r.U64(&line_addr);
-      r.U32(&entry.sharers);
-      r.I64(&owner);
-      if (!r.Ok() || owner < -1 || owner >= num_cpus_) return false;
-      entry.owner = static_cast<int>(owner);
-      dir_[line_addr] = entry;
+    for (BusEventCounts& c : per_cpu_) c.Checkpoint(io);
+    total_.Checkpoint(io);
+    for (Cycle& free : node_bus_free_) io.U64(free);
+    io.U64(queue_cycles_);
+    // Entries travel sorted by line address so the blob is a deterministic
+    // function of simulated state (the hash map's iteration order is not).
+    std::vector<Addr> addrs;
+    if (!io.loading()) {
+      addrs.reserve(dir_.size());
+      for (const auto& [line_addr, entry] : dir_) addrs.push_back(line_addr);
+      std::sort(addrs.begin(), addrs.end());
     }
-    return r.Ok();
+    std::uint64_t entries = addrs.size();
+    if (!io.Count(entries, 8 + 4 + 8, "directory entries")) return false;
+    if (io.loading()) dir_.clear();
+    for (std::uint64_t i = 0; i < entries; ++i) {
+      Addr line_addr = io.loading() ? 0 : addrs[i];
+      Entry entry = io.loading() ? Entry{} : dir_.at(line_addr);
+      io.U64(line_addr);
+      io.U32(entry.sharers);
+      if (!io.Narrow<std::int64_t>(entry.owner, -1, num_cpus_ - 1,
+                                   "directory owner")) {
+        return false;
+      }
+      if (io.loading()) dir_[line_addr] = entry;
+    }
+    return io.Ok();
   }
 
  private:

@@ -82,58 +82,58 @@ class MainMemory {
 
   // --- Checkpointing ---------------------------------------------------------
   // Pages that are still all-zero are skipped: memory starts zeroed, so a
-  // checkpoint of a sparsely-touched data segment stays compact.
-  void SaveState(support::StateWriter& w) const {
-    w.U64(static_cast<std::uint64_t>(size_));
-    w.U64(static_cast<std::uint64_t>(page_bytes_));
+  // checkpoint of a sparsely-touched data segment stays compact. Saving
+  // lists the non-zero pages; loading zeroes memory and reads them back.
+  bool Checkpoint(support::StateIO& io) {
+    std::uint64_t size = size_;
+    std::uint64_t page_bytes = page_bytes_;
+    io.U64(size);
+    io.U64(page_bytes);
+    if (!io.Expect(size == size_, "memory bytes",
+                   static_cast<std::int64_t>(size),
+                   static_cast<std::int64_t>(size_)) ||
+        !io.Expect(page_bytes == page_bytes_, "page bytes",
+                   static_cast<std::int64_t>(page_bytes),
+                   static_cast<std::int64_t>(page_bytes_))) {
+      return false;
+    }
     const std::size_t num_pages = page_home_.size();
     std::vector<std::uint64_t> nonzero;
-    for (std::size_t page = 0; page < num_pages; ++page) {
-      const std::size_t off = page * page_bytes_;
-      const std::size_t len = std::min(page_bytes_, size_ - off);
-      const std::uint8_t* p = data_.get() + off;
-      bool all_zero = true;
-      for (std::size_t i = 0; i < len; ++i) {
-        if (p[i] != 0) {
-          all_zero = false;
-          break;
+    if (!io.loading()) {
+      for (std::size_t page = 0; page < num_pages; ++page) {
+        const std::size_t off = page * page_bytes_;
+        const std::size_t len = std::min(page_bytes_, size_ - off);
+        const std::uint8_t* p = data_.get() + off;
+        if (std::any_of(p, p + len, [](std::uint8_t b) { return b != 0; })) {
+          nonzero.push_back(page);
         }
       }
-      if (!all_zero) nonzero.push_back(page);
     }
-    w.U64(static_cast<std::uint64_t>(nonzero.size()));
-    for (std::uint64_t page : nonzero) {
-      const std::size_t off = static_cast<std::size_t>(page) * page_bytes_;
-      w.U64(page);
-      w.Bytes(data_.get() + off, std::min(page_bytes_, size_ - off));
+    std::uint64_t count = nonzero.size();
+    if (!io.Count(count, 8, "non-zero pages") ||
+        !io.Expect(count <= num_pages, "non-zero pages",
+                   static_cast<std::int64_t>(count),
+                   static_cast<std::int64_t>(num_pages))) {
+      return false;
     }
-    for (std::int16_t home : page_home_) w.I64(home);
-  }
-  bool RestoreState(support::StateReader& r) {
-    std::uint64_t size = 0;
-    std::uint64_t page_bytes = 0;
-    r.U64(&size);
-    r.U64(&page_bytes);
-    if (!r.Ok() || size != size_ || page_bytes != page_bytes_) return false;
-    const std::size_t num_pages = page_home_.size();
-    std::uint64_t nonzero = 0;
-    r.U64(&nonzero);
-    if (!r.Ok() || nonzero > num_pages) return false;
-    std::memset(data_.get(), 0, size_);
-    for (std::uint64_t i = 0; i < nonzero; ++i) {
-      std::uint64_t page = 0;
-      r.U64(&page);
-      if (!r.Ok() || page >= num_pages) return false;
+    if (io.loading()) std::memset(data_.get(), 0, size_);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      std::uint64_t page = io.loading() ? 0 : nonzero[i];
+      io.U64(page);
+      if (!io.Expect(page < num_pages, "page index",
+                     static_cast<std::int64_t>(page),
+                     static_cast<std::int64_t>(num_pages) - 1)) {
+        return false;
+      }
       const std::size_t off = static_cast<std::size_t>(page) * page_bytes_;
-      r.Bytes(data_.get() + off, std::min(page_bytes_, size_ - off));
+      io.Bytes(data_.get() + off, std::min(page_bytes_, size_ - off));
     }
     for (std::int16_t& home : page_home_) {
-      std::int64_t v = 0;
-      r.I64(&v);
-      if (!r.Ok() || v < -1 || v > INT16_MAX) return false;
-      home = static_cast<std::int16_t>(v);
+      if (!io.Narrow<std::int64_t>(home, -1, INT16_MAX, "page home node")) {
+        return false;
+      }
     }
-    return r.Ok();
+    return io.Ok();
   }
 
  private:

@@ -40,24 +40,17 @@ class SnoopBus : public CoherenceFabric {
   // Total cycles requests spent queued behind a busy bus.
   Cycle queue_cycles() const override { return queue_cycles_; }
 
-  void SaveState(support::StateWriter& w) const override {
-    w.U32(static_cast<std::uint32_t>(per_cpu_.size()));
-    for (const BusEventCounts& c : per_cpu_) c.SaveState(w);
-    total_.SaveState(w);
-    w.U64(free_at_);
-    w.U64(queue_cycles_);
-  }
-  bool RestoreState(support::StateReader& r) override {
-    std::uint32_t cpus = 0;
-    r.U32(&cpus);
-    if (!r.Ok() || cpus != static_cast<std::uint32_t>(per_cpu_.size())) {
+  bool Checkpoint(support::StateIO& io) override {
+    std::uint32_t cpus = static_cast<std::uint32_t>(per_cpu_.size());
+    io.U32(cpus);
+    if (!io.Expect(cpus == per_cpu_.size(), "bus CPUs", cpus,
+                   static_cast<std::int64_t>(per_cpu_.size()))) {
       return false;
     }
-    for (BusEventCounts& c : per_cpu_) c.RestoreState(r);
-    total_.RestoreState(r);
-    r.U64(&free_at_);
-    r.U64(&queue_cycles_);
-    return r.Ok();
+    for (BusEventCounts& c : per_cpu_) c.Checkpoint(io);
+    total_.Checkpoint(io);
+    io.U64(free_at_);
+    return io.U64(queue_cycles_);
   }
 
  private:

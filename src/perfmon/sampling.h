@@ -32,7 +32,6 @@
 #include "machine/machine.h"
 #include "obs/registry.h"
 #include "support/simtypes.h"
-#include "support/snapshot.h"
 
 namespace cobra::perfmon {
 
@@ -47,11 +46,6 @@ struct Sample {
   std::array<cpu::Btb::Entry, cpu::Btb::kEntries> btb{};
   cpu::Dear::Record dear{};
 };
-
-// Sample serialization for checkpoints (perfmon buffers and COBRA's User
-// Sampling Buffers carry whole samples).
-void SaveSample(support::StateWriter& w, const Sample& sample);
-bool RestoreSample(support::StateReader& r, Sample* sample);
 
 struct SamplingConfig {
   // Sampling period in retired instructions. The paper keeps this long
@@ -91,12 +85,6 @@ class SamplingDriver {
   // Batches handed to delivery handlers (the monitoring-thread "signals").
   std::uint64_t TotalBatches() const { return total_batches_; }
   const SamplingConfig& config() const { return config_; }
-
-  // Checkpointing. Delivery handlers are live closures, not state: restore
-  // into a driver whose StartMonitoring calls already re-installed them
-  // (CobraRuntime::AttachAll before Machine::RestoreCheckpoint).
-  void SaveState(support::StateWriter& w) const;
-  bool RestoreState(support::StateReader& r);
 
  private:
   struct PerCpu {

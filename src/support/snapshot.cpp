@@ -43,14 +43,16 @@ std::uint64_t GetU64(const std::uint8_t* p) {
 
 // --- StateWriter -------------------------------------------------------------
 
-void StateWriter::BeginSection(std::string_view name) {
-  U32(static_cast<std::uint32_t>(name.size()));
+bool StateWriter::BeginSection(std::string_view name) {
+  std::uint32_t name_len = static_cast<std::uint32_t>(name.size());
+  U32(name_len);
   payload_.insert(payload_.end(), name.begin(), name.end());
   open_sections_.push_back(payload_.size());
-  U64(0);  // body_len placeholder, patched at EndSection
+  std::uint64_t placeholder = 0;  // body_len, patched at EndSection
+  return U64(placeholder);
 }
 
-void StateWriter::EndSection() {
+bool StateWriter::EndSection() {
   COBRA_CHECK_MSG(!open_sections_.empty(), "EndSection without BeginSection");
   const std::size_t len_at = open_sections_.back();
   open_sections_.pop_back();
@@ -60,25 +62,23 @@ void StateWriter::EndSection() {
     payload_[len_at + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(body_len >> (8 * i));
   }
+  return true;
 }
 
-void StateWriter::U32(std::uint32_t v) { PutU32(payload_, v); }
-void StateWriter::U64(std::uint64_t v) { PutU64(payload_, v); }
-
-void StateWriter::F64(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  U64(bits);
+bool StateWriter::U32(std::uint32_t& v) {
+  PutU32(payload_, v);
+  return true;
 }
 
-void StateWriter::Str(std::string_view s) {
-  U32(static_cast<std::uint32_t>(s.size()));
-  payload_.insert(payload_.end(), s.begin(), s.end());
+bool StateWriter::U64(std::uint64_t& v) {
+  PutU64(payload_, v);
+  return true;
 }
 
-void StateWriter::Bytes(const void* data, std::size_t n) {
+bool StateWriter::Bytes(void* data, std::size_t n) {
   const auto* p = static_cast<const std::uint8_t*>(data);
   payload_.insert(payload_.end(), p, p + n);
+  return true;
 }
 
 std::vector<std::uint8_t> StateWriter::Finish(std::uint32_t version) const {
@@ -100,10 +100,16 @@ bool StateReader::Fail(std::string message) {
   return false;
 }
 
+bool StateReader::FailField(std::string_view field, const std::string& detail) {
+  const std::string section =
+      section_names_.empty() ? "payload" : section_names_.back();
+  return Fail("snapshot section '" + section + "': " + std::string(field) +
+              " " + detail);
+}
+
 bool StateReader::Need(std::size_t n) {
   if (!Ok()) return false;
-  const std::size_t limit = section_ends_.empty() ? end_ : section_ends_.back();
-  if (cursor_ + n > limit) {
+  if (n > Limit() - cursor_) {
     return Fail("snapshot truncated: read past " +
                 std::string(section_ends_.empty() ? "payload" : "section") +
                 " end");
@@ -116,6 +122,7 @@ bool StateReader::Open(const std::uint8_t* data, std::size_t size) {
   cursor_ = 0;
   end_ = 0;
   section_ends_.clear();
+  section_names_.clear();
   error_.clear();
   if (size < kHeaderBytes) return Fail("snapshot truncated: no header");
   if (GetU64(data) != kMagic) return Fail("not a COBRA snapshot (bad magic)");
@@ -138,9 +145,9 @@ bool StateReader::Open(const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-bool StateReader::EnterSection(std::string_view name) {
+bool StateReader::BeginSection(std::string_view name) {
   std::uint32_t name_len = 0;
-  if (!U32(&name_len)) return false;
+  if (!U32(name_len)) return false;
   if (!Need(name_len)) return false;
   const std::string_view found(reinterpret_cast<const char*>(data_ + cursor_),
                                name_len);
@@ -150,81 +157,74 @@ bool StateReader::EnterSection(std::string_view name) {
   }
   cursor_ += name_len;
   std::uint64_t body_len = 0;
-  if (!U64(&body_len)) return false;
-  const std::size_t limit = section_ends_.empty() ? end_ : section_ends_.back();
-  if (cursor_ + body_len > limit) {
+  if (!U64(body_len)) return false;
+  if (body_len > Limit() - cursor_) {
     return Fail("snapshot truncated: section '" + std::string(name) +
                 "' body overruns enclosing bounds");
   }
   section_ends_.push_back(cursor_ + body_len);
+  section_names_.emplace_back(name);
   return true;
 }
 
-bool StateReader::ExitSection() {
+bool StateReader::EndSection() {
   if (!Ok()) return false;
-  if (section_ends_.empty()) return Fail("ExitSection without EnterSection");
+  if (section_ends_.empty()) return Fail("EndSection without BeginSection");
   if (cursor_ != section_ends_.back()) {
-    return Fail("snapshot section not fully consumed (layout drift)");
+    return Fail("snapshot section '" + section_names_.back() +
+                "' not fully consumed (layout drift)");
   }
   section_ends_.pop_back();
+  section_names_.pop_back();
   return true;
 }
 
-bool StateReader::U8(std::uint8_t* v) {
+bool StateReader::U8(std::uint8_t& v) {
   if (!Need(1)) return false;
-  *v = data_[cursor_++];
+  v = data_[cursor_++];
   return true;
 }
 
-bool StateReader::U32(std::uint32_t* v) {
+bool StateReader::U32(std::uint32_t& v) {
   if (!Need(4)) return false;
-  *v = GetU32(data_ + cursor_);
+  v = GetU32(data_ + cursor_);
   cursor_ += 4;
   return true;
 }
 
-bool StateReader::U64(std::uint64_t* v) {
+bool StateReader::U64(std::uint64_t& v) {
   if (!Need(8)) return false;
-  *v = GetU64(data_ + cursor_);
+  v = GetU64(data_ + cursor_);
   cursor_ += 8;
   return true;
 }
 
-bool StateReader::I64(std::int64_t* v) {
-  std::uint64_t u = 0;
-  if (!U64(&u)) return false;
-  *v = static_cast<std::int64_t>(u);
-  return true;
-}
-
-bool StateReader::F64(double* v) {
-  std::uint64_t bits = 0;
-  if (!U64(&bits)) return false;
-  std::memcpy(v, &bits, sizeof *v);
-  return true;
-}
-
-bool StateReader::Bool(bool* v) {
-  std::uint8_t b = 0;
-  if (!U8(&b)) return false;
-  *v = b != 0;
-  return true;
-}
-
-bool StateReader::Str(std::string* s) {
-  std::uint32_t n = 0;
-  if (!U32(&n)) return false;
+bool StateReader::Bytes(void* data, std::size_t n) {
   if (!Need(n)) return false;
-  s->assign(reinterpret_cast<const char*>(data_ + cursor_), n);
+  std::memcpy(data, data_ + cursor_, n);
   cursor_ += n;
   return true;
 }
 
-bool StateReader::Bytes(void* out, std::size_t n) {
-  if (!Need(n)) return false;
-  std::memcpy(out, data_ + cursor_, n);
-  cursor_ += n;
+bool StateReader::Count(std::uint64_t& n, std::size_t elem_bytes,
+                        std::string_view field) {
+  if (!U64(n)) return false;
+  const std::size_t left = Limit() - cursor_;
+  if (n > left / elem_bytes) {
+    return FailField(field, "count " + std::to_string(n) +
+                                " needs more than the " +
+                                std::to_string(left) + " bytes left");
+  }
   return true;
+}
+
+bool StateReader::Expect(bool ok, std::string_view field, std::int64_t blob,
+                         std::int64_t machine) {
+  if (!Ok()) return false;
+  if (ok) return true;
+  return FailField(field, std::to_string(blob) +
+                              " in the blob does not fit this machine (" +
+                              std::to_string(machine) + ")");
 }
 
 }  // namespace cobra::support

@@ -13,17 +13,6 @@ namespace {
 
 std::atomic<bool> g_test_enabled{true};
 
-std::uint64_t EnvNumber(const char* name, std::uint64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  std::uint64_t value = 0;
-  for (const char* p = env; *p != '\0'; ++p) {
-    COBRA_CHECK_MSG(*p >= '0' && *p <= '9', "bad numeric env value");
-    value = value * 10 + static_cast<std::uint64_t>(*p - '0');
-  }
-  return value;
-}
-
 }  // namespace
 
 void TestOnlySetTjitEnabled(bool enabled) {
@@ -37,13 +26,6 @@ TjitConfig TjitConfigFromEnv() {
     cfg.enabled = !(v == "off" || v == "0" || v == "OFF");
   }
   if (!g_test_enabled.load(std::memory_order_relaxed)) cfg.enabled = false;
-  cfg.hot_threshold = static_cast<std::uint32_t>(
-      EnvNumber("COBRA_TJIT_THRESHOLD", cfg.hot_threshold));
-  COBRA_CHECK_MSG(cfg.hot_threshold > 0, "COBRA_TJIT_THRESHOLD must be > 0");
-  cfg.max_cache_steps = static_cast<std::size_t>(
-      EnvNumber("COBRA_TJIT_CACHE", cfg.max_cache_steps));
-  COBRA_CHECK_MSG(cfg.max_cache_steps >= cfg.max_trace_steps,
-                  "COBRA_TJIT_CACHE must hold at least one full trace");
   return cfg;
 }
 

@@ -41,14 +41,14 @@ namespace cobra::tjit {
 
 struct TjitConfig {
   bool enabled = true;             // COBRA_TJIT=off|0 disables
-  std::uint32_t hot_threshold = 16;    // COBRA_TJIT_THRESHOLD
+  std::uint32_t hot_threshold = 16;    // loop-edge count before a head compiles
   std::uint32_t max_trace_steps = 512;
-  std::size_t max_cache_steps = 1u << 18;  // COBRA_TJIT_CACHE (total steps)
+  std::size_t max_cache_steps = 1u << 18;  // total compiled steps per core
 };
 
-// Reads COBRA_TJIT (on by default; "off"/"0" disables), COBRA_TJIT_CACHE
-// (total-step capacity) and COBRA_TJIT_THRESHOLD (loop-edge hot count).
-// The test-only process-global kill switch below is folded into `enabled`.
+// Reads COBRA_TJIT (on by default; "off"/"0" disables); the other fields
+// keep their defaults (tests set them directly). The test-only
+// process-global kill switch below is folded into `enabled`.
 TjitConfig TjitConfigFromEnv();
 
 // Test-only, process-global: force-disables the trace JIT regardless of the

@@ -101,12 +101,9 @@ class CoherenceChecker final : public mem::CoherenceFabric {
   // Checkpointing: the blob carries the real fabric's state; the oracle's
   // shadow re-snapshots from the (already restored) functional memory, and
   // the host-side verification counters intentionally start fresh.
-  void SaveState(support::StateWriter& w) const override {
-    inner_->SaveState(w);
-  }
-  bool RestoreState(support::StateReader& r) override {
-    if (!inner_->RestoreState(r)) return false;
-    SyncShadow();
+  bool Checkpoint(support::StateIO& io) override {
+    if (!inner_->Checkpoint(io)) return false;
+    if (io.loading()) SyncShadow();
     return true;
   }
 

@@ -28,9 +28,9 @@ namespace {
 // counters, coherent write misses and the store-buffer occupancy (or, for a
 // fabric, its per-CPU event counts and occupancy state).
 template <typename T>
-std::vector<std::uint8_t> StateBlob(const T& component) {
+std::vector<std::uint8_t> StateBlob(T& component) {
   support::StateWriter w;
-  component.SaveState(w);
+  component.Checkpoint(w);
   return w.Finish();
 }
 

@@ -9,14 +9,17 @@
 // coherence protocols.
 //
 // The transplant tests restore a mid-run blob into a *freshly built*
-// machine and finish the run there; the rejection tests feed corrupted,
-// truncated, version-bumped and wrong-shape blobs to RestoreCheckpoint and
-// assert it refuses without touching the target machine.
+// machine and finish the run there; the resave test requires a restored
+// machine to save the very bytes it was restored from. The rejection tests
+// feed corrupted, truncated, version-bumped, wrong-shape and hostile-count
+// blobs to RestoreCheckpoint and assert it refuses without touching the
+// target machine, and that a geometry mismatch names the refused field.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kgen/emitters.h"
@@ -263,6 +266,29 @@ TEST(SnapshotTransplant, ResumesMidRegionInFreshMachine) {
   EXPECT_EQ(straight.fingerprint, Fingerprint(fresh, w.x, w.data_end));
 }
 
+// A restored machine saves exactly the bytes it was restored from. This
+// covers state the registry fingerprint never sees (LRU stamps, fill
+// times, the BTB ring, the DEAR record, directory owners), which a slip in
+// one component's field list would otherwise corrupt silently.
+TEST(SnapshotRoundTrip, ResaveIsByteIdentical) {
+  const std::pair<machine::MachineConfig, int> shapes[] = {
+      {machine::SmpServerConfig(4), 4}, {machine::AltixConfig(8), 8}};
+  for (const auto& [base, threads] : shapes) {
+    const RunResult saved = RunWorkload(base, threads, Mode::kSaveOnly);
+    ASSERT_TRUE(saved.checkpoint_taken);
+
+    kgen::Program prog;
+    BuildWorkload(prog, threads);
+    machine::MachineConfig cfg = base;
+    cfg.mem.memory_bytes = 1 << 23;
+    machine::Machine fresh(cfg, &prog.image());
+    std::string error;
+    ASSERT_TRUE(fresh.RestoreCheckpoint(saved.blob, &error)) << error;
+    EXPECT_TRUE(fresh.SaveCheckpoint() == saved.blob)
+        << threads << "-CPU machine re-saved different bytes";
+  }
+}
+
 // --- Rejection: damaged or mismatched blobs must not touch the machine ---
 
 class SnapshotRejection : public ::testing::Test {
@@ -365,84 +391,139 @@ TEST_F(SnapshotRejection, WrongGeometryShape) {
   EXPECT_EQ(before, Fingerprint(numa, w.x, w.data_end));
 }
 
+TEST_F(SnapshotRejection, ImageSlotCountBeyondSection) {
+  // A well-formed blob whose image section claims 3 * 2^60 slots: more than
+  // the section (or any host) could hold. The count alone is refused, before
+  // anything is allocated or mutated.
+  std::uint32_t cpus = 4;
+  auto fabric = static_cast<std::uint8_t>(machine::FabricKind::kSnoopBus);
+  auto protocol = static_cast<std::uint8_t>(mem::Protocol::kMesi);
+  std::uint64_t code_base = prog_->image().code_base();
+  std::uint64_t cache_start = code_base;
+  std::uint64_t slots = 3ull << 60;
+  support::StateWriter w;
+  w.BeginSection("machine");
+  w.U32(cpus);
+  w.U8(fabric);
+  w.U8(protocol);
+  w.EndSection();
+  w.BeginSection("image");
+  w.U64(code_base);
+  w.U64(cache_start);
+  w.U64(slots);
+  w.EndSection();
+  ExpectRejected(w.Finish(), "image");
+}
+
+TEST_F(SnapshotRejection, CacheGeometryNamesRefusedField) {
+  // A default-SMP4 blob aimed at an SMP4 machine with a 1.5 MB L3 (1024 L3
+  // sets instead of 2048) passes the shape gate; the refusal must name the
+  // section and the field that differs, with both values. The sections
+  // before stack0 are already rewritten by then, so the machine is not
+  // checked for being untouched here.
+  machine::MachineConfig cfg = machine::SmpServerConfig(4);
+  cfg.mem.memory_bytes = 1 << 23;
+  cfg.mem.l3.size_bytes = 3 * 512 * 1024;
+  kgen::Program prog;
+  BuildWorkload(prog, 4);
+  machine::Machine small(cfg, &prog.image());
+  std::string error;
+  EXPECT_FALSE(small.RestoreCheckpoint(blob_, &error));
+  for (const char* part : {"stack0", "L3 sets", "2048", "1024"}) {
+    EXPECT_NE(error.find(part), std::string::npos)
+        << "missing '" << part << "' in: " << error;
+  }
+}
+
 // --- StateWriter/StateReader protocol-level checks -----------------------
 
 TEST(SnapshotFormat, PrimitivesRoundTripThroughNestedSections) {
+  std::uint8_t u8 = 0x5a;
+  std::uint32_t u32 = 0xdeadbeef;
+  std::uint64_t u64 = 0x0123456789abcdefull;
+  std::int64_t i64 = -42;
+  double f64 = 3.25;
+  bool b = true;
+  char bytes[] = "nested sections";
+  std::uint64_t seven = 7;
   support::StateWriter w;
   w.BeginSection("outer");
-  w.U8(0x5a);
-  w.U32(0xdeadbeef);
-  w.U64(0x0123456789abcdefull);
-  w.I64(-42);
-  w.F64(3.25);
-  w.Bool(true);
-  w.Str("nested sections");
+  w.U8(u8);
+  w.U32(u32);
+  w.U64(u64);
+  w.I64(i64);
+  w.F64(f64);
+  w.Bool(b);
+  w.Bytes(bytes, sizeof bytes);
   w.BeginSection("inner");
-  w.U64(7);
+  w.U64(seven);
   w.EndSection();
   w.EndSection();
   const std::vector<std::uint8_t> blob = w.Finish();
 
+  u8 = 0;
+  u32 = 0;
+  u64 = 0;
+  i64 = 0;
+  f64 = 0.0;
+  b = false;
+  char read_bytes[sizeof bytes] = {};
+  seven = 0;
   support::StateReader r;
   ASSERT_TRUE(r.Open(blob)) << r.error();
-  ASSERT_TRUE(r.EnterSection("outer"));
-  std::uint8_t u8 = 0;
-  std::uint32_t u32 = 0;
-  std::uint64_t u64 = 0;
-  std::int64_t i64 = 0;
-  double f64 = 0.0;
-  bool b = false;
-  std::string s;
-  EXPECT_TRUE(r.U8(&u8));
-  EXPECT_TRUE(r.U32(&u32));
-  EXPECT_TRUE(r.U64(&u64));
-  EXPECT_TRUE(r.I64(&i64));
-  EXPECT_TRUE(r.F64(&f64));
-  EXPECT_TRUE(r.Bool(&b));
-  EXPECT_TRUE(r.Str(&s));
+  ASSERT_TRUE(r.BeginSection("outer"));
+  EXPECT_TRUE(r.U8(u8));
+  EXPECT_TRUE(r.U32(u32));
+  EXPECT_TRUE(r.U64(u64));
+  EXPECT_TRUE(r.I64(i64));
+  EXPECT_TRUE(r.F64(f64));
+  EXPECT_TRUE(r.Bool(b));
+  EXPECT_TRUE(r.Bytes(read_bytes, sizeof read_bytes));
   EXPECT_EQ(u8, 0x5a);
   EXPECT_EQ(u32, 0xdeadbeefu);
   EXPECT_EQ(u64, 0x0123456789abcdefull);
   EXPECT_EQ(i64, -42);
   EXPECT_EQ(f64, 3.25);
   EXPECT_TRUE(b);
-  EXPECT_EQ(s, "nested sections");
-  ASSERT_TRUE(r.EnterSection("inner"));
-  std::uint64_t seven = 0;
-  EXPECT_TRUE(r.U64(&seven));
+  EXPECT_STREQ(read_bytes, "nested sections");
+  ASSERT_TRUE(r.BeginSection("inner"));
+  EXPECT_TRUE(r.U64(seven));
   EXPECT_EQ(seven, 7u);
-  EXPECT_TRUE(r.ExitSection());
-  EXPECT_TRUE(r.ExitSection());
+  EXPECT_TRUE(r.EndSection());
+  EXPECT_TRUE(r.EndSection());
   EXPECT_TRUE(r.AtEnd());
 }
 
 TEST(SnapshotFormat, SectionNameMismatchFails) {
+  std::uint64_t one = 1;
   support::StateWriter w;
   w.BeginSection("alpha");
-  w.U64(1);
+  w.U64(one);
   w.EndSection();
   const std::vector<std::uint8_t> blob = w.Finish();
 
   support::StateReader r;
   ASSERT_TRUE(r.Open(blob));
-  EXPECT_FALSE(r.EnterSection("beta"));
+  EXPECT_FALSE(r.BeginSection("beta"));
   EXPECT_NE(r.error().find("section mismatch"), std::string::npos);
 }
 
 TEST(SnapshotFormat, UnderConsumedSectionFailsOnExit) {
+  std::uint64_t one = 1;
+  std::uint64_t two = 2;
   support::StateWriter w;
   w.BeginSection("alpha");
-  w.U64(1);
-  w.U64(2);
+  w.U64(one);
+  w.U64(two);
   w.EndSection();
   const std::vector<std::uint8_t> blob = w.Finish();
 
   support::StateReader r;
   ASSERT_TRUE(r.Open(blob));
-  ASSERT_TRUE(r.EnterSection("alpha"));
+  ASSERT_TRUE(r.BeginSection("alpha"));
   std::uint64_t v = 0;
-  EXPECT_TRUE(r.U64(&v));
-  EXPECT_FALSE(r.ExitSection());  // one u64 still unread
+  EXPECT_TRUE(r.U64(v));
+  EXPECT_FALSE(r.EndSection());  // one u64 still unread
   EXPECT_FALSE(r.Ok());
 }
 
