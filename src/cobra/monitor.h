@@ -1,13 +1,14 @@
 // Monitoring thread: one per working thread (Section 3.1).
 //
-// Receives sample batches from the perfmon driver (the "signal"), copies
-// them into its User Sampling Buffer, and updates its thread profile. The
-// optimization thread reads the profiles; it never touches the driver.
+// Receives sample batches from the perfmon driver (the "signal") and folds
+// each sample straight into its thread profile. The optimization thread
+// reads the profiles; it never touches the driver. The paper's copy of each
+// batch into a User Sampling Buffer has no host-side counterpart here: its
+// cost is simulated only, by CobraConfig::monitor_overhead_cycles.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "cobra/profile.h"
 #include "perfmon/sampling.h"
@@ -17,39 +18,28 @@ namespace cobra::core {
 class MonitoringThread {
  public:
   MonitoringThread(int tid, CpuId cpu, Cycle coherent_latency_threshold,
-                   std::uint64_t attribution_warmup_samples = 0,
-                   std::size_t usb_capacity = 4096)
+                   std::uint64_t attribution_warmup_samples = 0)
       : tid_(tid),
         cpu_(cpu),
-        usb_capacity_(usb_capacity),
         profile_(coherent_latency_threshold, attribution_warmup_samples) {}
 
   int tid() const { return tid_; }
   CpuId cpu() const { return cpu_; }
 
-  // Delivery path ("signal handler"): copy the kernel batch into the User
-  // Sampling Buffer and fold it into the running profile.
+  // Delivery path ("signal handler"): fold the kernel batch into the
+  // running profile, one AddSample per sample.
   void Consume(std::span<const perfmon::Sample> batch) {
-    for (const perfmon::Sample& sample : batch) {
-      if (usb_.size() == usb_capacity_) usb_.erase(usb_.begin());
-      usb_.push_back(sample);
-      profile_.AddSample(sample);
-    }
+    for (const perfmon::Sample& sample : batch) profile_.AddSample(sample);
     ++batches_received_;
   }
 
   const ThreadProfile& profile() const { return profile_; }
   ThreadProfile& mutable_profile() { return profile_; }
-  const std::vector<perfmon::Sample>& user_sampling_buffer() const {
-    return usb_;
-  }
   std::uint64_t batches_received() const { return batches_received_; }
 
  private:
   int tid_;
   CpuId cpu_;
-  std::size_t usb_capacity_;
-  std::vector<perfmon::Sample> usb_;
   ThreadProfile profile_;
   std::uint64_t batches_received_ = 0;
 };

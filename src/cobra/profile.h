@@ -38,6 +38,9 @@ struct DelinquentLoad {
   std::int64_t stride = 0;
   std::uint32_t stride_confirmations = 0;
 
+  friend bool operator==(const DelinquentLoad&,
+                         const DelinquentLoad&) = default;
+
   double AvgLatency() const {
     return samples ? static_cast<double>(total_latency) /
                          static_cast<double>(samples)
@@ -60,6 +63,9 @@ struct LoopCandidate {
   std::uint64_t attributed_cycles = 0;
   std::uint64_t attributed_samples = 0;
 
+  friend bool operator==(const LoopCandidate&,
+                         const LoopCandidate&) = default;
+
   double CyclesPerSample() const {
     return attributed_samples ? static_cast<double>(attributed_cycles) /
                                     static_cast<double>(attributed_samples)
@@ -78,6 +84,9 @@ struct CounterTotals {
   std::uint64_t bus_rd_hit = 0;
   Cycle cycles = 0;
   std::uint64_t instructions = 0;
+
+  friend bool operator==(const CounterTotals&,
+                         const CounterTotals&) = default;
 
   CounterTotals& operator+=(const CounterTotals& o) {
     l3_misses += o.l3_misses;

@@ -8,30 +8,54 @@
 
 namespace cobra::perfmon {
 
+namespace {
+
+// Reads a run of decimal digits at `*text` whose value fits in [0, max]:
+// no sign, no whitespace, no saturation. Advances `*text` past the digits
+// and writes `*out` only on success.
+bool ParseDecimal(const char** text, std::uint64_t max, std::uint64_t* out) {
+  const char* p = *text;
+  if (*p < '0' || *p > '9') return false;
+  std::uint64_t value = 0;
+  for (; *p >= '0' && *p <= '9'; ++p) {
+    const std::uint64_t digit = static_cast<std::uint64_t>(*p - '0');
+    if (value > (max - digit) / 10) return false;
+    value = value * 10 + digit;
+  }
+  *text = p;
+  *out = value;
+  return true;
+}
+
+}  // namespace
+
 bool ParseSampleSpec(const char* text, SampleConfig* out) {
-  if (text == nullptr || *text == '\0') return false;
-  char* end = nullptr;
-  const unsigned long long interval = std::strtoull(text, &end, 10);
-  if (end == text || interval == 0) return false;
+  if (text == nullptr) return false;
   SampleConfig config;
-  config.interval_insts = interval;
-  if (*end == ':') {
-    const char* phases_text = end + 1;
-    const long phases = std::strtol(phases_text, &end, 10);
-    if (end == phases_text || phases <= 0) return false;
-    config.max_phases = static_cast<int>(phases);
-    if (*end == ':') {
-      const char* warm_text = end + 1;
-      if (*warm_text == '-') return false;
-      const unsigned long long warmup = std::strtoull(warm_text, &end, 10);
-      if (end == warm_text || *end != '\0') return false;
-      config.warmup_insts = warmup;  // 0 = no warm-up
-    } else if (*end != '\0') {
-      return false;
-    }
-  } else if (*end != '\0') {
+  if (!ParseDecimal(&text, std::numeric_limits<std::uint64_t>::max(),
+                    &config.interval_insts) ||
+      config.interval_insts == 0) {
     return false;
   }
+  if (*text == ':') {
+    ++text;
+    std::uint64_t phases = 0;
+    if (!ParseDecimal(&text, std::numeric_limits<int>::max(), &phases) ||
+        phases == 0) {
+      return false;
+    }
+    config.max_phases = static_cast<int>(phases);
+    if (*text == ':') {
+      ++text;
+      // 0 = no warm-up; the largest value is the auto sentinel, not a
+      // distance, so it is out of range.
+      if (!ParseDecimal(&text, SampleConfig::kAutoWarmup - 1,
+                        &config.warmup_insts)) {
+        return false;
+      }
+    }
+  }
+  if (*text != '\0') return false;
   *out = config;
   return true;
 }

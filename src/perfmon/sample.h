@@ -56,8 +56,11 @@ struct SampleConfig {
 };
 
 // Parses "<interval>[:<phases>[:<warmup>]]" (e.g. "200000", "200000:6" or
-// "200000:6:100000"); returns false (leaving *out alone) on malformed
-// text, a zero interval, or a non-positive phase cap.
+// "200000:6:100000"). Every field is plain decimal digits. Returns false
+// (leaving *out alone) on malformed text (including a sign or whitespace),
+// a zero interval, a number that does not fit its field (64 bits for the
+// interval, int for the phase cap, below kAutoWarmup for the warm-up), or
+// a zero phase cap.
 bool ParseSampleSpec(const char* text, SampleConfig* out);
 
 // COBRA_SAMPLE environment knob: the parsed spec when set and valid, a

@@ -4,7 +4,9 @@
 // programs the performance counters and the DEAR latency filter, collects a
 // sample every N retired instructions into a per-CPU Kernel Sampling
 // Buffer, and "signals" the monitoring thread when a batch is ready; the
-// monitoring thread copies the batch into its User Sampling Buffer.
+// monitoring thread folds the batch straight into its thread profile. The
+// paper's copy into a User Sampling Buffer is modelled as simulated cost
+// only (CobraConfig::monitor_overhead_cycles), with no host-side buffer.
 //
 // Each sample carries: sample index, PC, process/thread/processor ids, the
 // four performance counters, the eight BTB address registers (four

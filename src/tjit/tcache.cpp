@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <string>
 #include <string_view>
 
 #include "isa/image.h"
@@ -21,9 +22,16 @@ void TestOnlySetTjitEnabled(bool enabled) {
 
 TjitConfig TjitConfigFromEnv() {
   TjitConfig cfg;
-  if (const char* env = std::getenv("COBRA_TJIT"); env != nullptr) {
+  if (const char* env = std::getenv("COBRA_TJIT");
+      env != nullptr && *env != '\0') {
     const std::string_view v(env);
-    cfg.enabled = !(v == "off" || v == "0" || v == "OFF");
+    const bool on = v == "on" || v == "1";
+    const bool off = v == "off" || v == "0" || v == "OFF";
+    COBRA_CHECK_MSG(on || off,
+                    ("COBRA_TJIT=" + std::string(v) +
+                     " is not one of on, 1, off, 0, OFF")
+                        .c_str());
+    cfg.enabled = on;
   }
   if (!g_test_enabled.load(std::memory_order_relaxed)) cfg.enabled = false;
   return cfg;

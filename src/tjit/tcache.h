@@ -40,13 +40,15 @@ class BinaryImage;
 namespace cobra::tjit {
 
 struct TjitConfig {
-  bool enabled = true;             // COBRA_TJIT=off|0 disables
+  bool enabled = true;             // COBRA_TJIT=off|0|OFF disables
   std::uint32_t hot_threshold = 16;    // loop-edge count before a head compiles
   std::uint32_t max_trace_steps = 512;
   std::size_t max_cache_steps = 1u << 18;  // total compiled steps per core
 };
 
-// Reads COBRA_TJIT (on by default; "off"/"0" disables); the other fields
+// Reads COBRA_TJIT: unset or empty leaves the JIT on, "on"/"1" turns it on,
+// "off"/"0"/"OFF" turns it off, and any other value aborts with a message
+// naming the variable, the value and the accepted forms. The other fields
 // keep their defaults (tests set them directly). The test-only
 // process-global kill switch below is folded into `enabled`.
 TjitConfig TjitConfigFromEnv();

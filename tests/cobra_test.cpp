@@ -4,8 +4,12 @@
 // optimizers, and the end-to-end runtime on the DAXPY pathology.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <random>
+#include <span>
+#include <vector>
 
 #include "cobra/cobra.h"
 #include "isa/assembler.h"
@@ -172,6 +176,71 @@ TEST(SystemProfile, AggregatesAndSortsByHotness) {
   EXPECT_EQ(merged.hot_loops[0].head, 0x2020u);  // 2 hits
   EXPECT_EQ(merged.hot_loops[0].hits, 2u);
   EXPECT_EQ(merged.hot_loops[1].head, 0x1020u);
+}
+
+// Delivering a stream in 16-sample batches must build exactly the profile
+// that feeding the same samples to a bare ThreadProfile builds. The stream
+// is longer than 3 x 4096 samples, so it would wrap any per-thread sample
+// buffer of 4096 entries several times.
+TEST(MonitoringThread, BatchedDeliveryMatchesDirectProfile) {
+  constexpr std::size_t kSamples = 3 * 4096 + 1000;
+  constexpr std::size_t kBatch = 16;
+  std::mt19937_64 rng(20070910);
+  std::vector<perfmon::Sample> stream;
+  stream.reserve(kSamples);
+  Cycle now = 0;
+  std::uint64_t l3 = 0, bus = 0, hitm = 0, hit = 0;
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    // Four loops of 0x40 bytes each; samples land inside or between them.
+    const Addr loop_head = 0x1000 + 0x100 * (rng() % 4);
+    perfmon::Sample s = MakeSample(i, loop_head + rng() % 0x60);
+    now += 500 + rng() % 1500;
+    s.timestamp = now;
+    l3 += rng() % 8;
+    bus += rng() % 16;
+    hitm += rng() % 4;
+    hit += rng() % 4;
+    s.counters = {l3, bus, hitm, hit};
+    for (cpu::Btb::Entry& entry : s.btb) {
+      if (rng() % 3 == 0) continue;  // leave some entries empty
+      const Addr head = 0x1000 + 0x100 * (rng() % 4);
+      // Mostly back-edges, some forward branches.
+      entry = rng() % 5 == 0 ? cpu::Btb::Entry{head, head + 0x80}
+                             : cpu::Btb::Entry{head + 0x40, head};
+    }
+    if (rng() % 2 == 0) {
+      s.dear = cpu::Dear::Record{0x1010 + 0x100 * (rng() % 4),
+                                 0x90000 + 128 * (rng() % 4096),
+                                 120 + rng() % 100, true};
+    }
+    stream.push_back(s);
+  }
+
+  MonitoringThread monitor(/*tid=*/0, /*cpu=*/0,
+                           /*coherent_latency_threshold=*/180,
+                           /*attribution_warmup_samples=*/64);
+  for (std::size_t at = 0; at < stream.size(); at += kBatch) {
+    const std::size_t n = std::min(kBatch, stream.size() - at);
+    monitor.Consume(std::span<const perfmon::Sample>(stream).subspan(at, n));
+  }
+  ThreadProfile direct(/*coherent_latency_threshold=*/180,
+                       /*attribution_warmup_samples=*/64);
+  for (const perfmon::Sample& s : stream) direct.AddSample(s);
+
+  EXPECT_EQ(monitor.batches_received(), (kSamples + kBatch - 1) / kBatch);
+  const ThreadProfile& batched = monitor.profile();
+  EXPECT_EQ(batched.samples_seen(), kSamples);
+  EXPECT_EQ(batched.loops(), direct.loops());
+  EXPECT_EQ(batched.loads(), direct.loads());
+  EXPECT_EQ(batched.totals(), direct.totals());
+  // The stream exercises every part of the profile.
+  EXPECT_EQ(batched.loops().size(), 4u);
+  EXPECT_EQ(batched.loads().size(), 4u);
+  std::uint64_t attributed = 0;
+  for (const auto& [head, loop] : batched.loops()) {
+    attributed += loop.attributed_samples;
+  }
+  EXPECT_GT(attributed, 0u);
 }
 
 TEST(CounterTotals, CoherentRatio) {

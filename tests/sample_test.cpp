@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "kgen/emitters.h"
@@ -51,6 +52,13 @@ TEST(SampleSpec, ParsesPhasesAndWarmup) {
   ASSERT_TRUE(perfmon::ParseSampleSpec("200000:6:0", &c));
   EXPECT_EQ(c.warmup_insts, 0u);
   EXPECT_EQ(c.EffectiveWarmup(), 0u);
+
+  // The largest values each field holds are accepted, not saturated.
+  ASSERT_TRUE(perfmon::ParseSampleSpec(
+      "18446744073709551615:2147483647:18446744073709551614", &c));
+  EXPECT_EQ(c.interval_insts, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(c.max_phases, std::numeric_limits<int>::max());
+  EXPECT_EQ(c.warmup_insts, std::numeric_limits<std::uint64_t>::max() - 1);
 }
 
 TEST(SampleSpec, RejectsMalformedSpecs) {
@@ -68,6 +76,14 @@ TEST(SampleSpec, RejectsMalformedSpecs) {
   EXPECT_FALSE(perfmon::ParseSampleSpec("100:4:-5", &c));
   EXPECT_FALSE(perfmon::ParseSampleSpec("100:4:xyz", &c));
   EXPECT_FALSE(perfmon::ParseSampleSpec("100:4:9junk", &c));
+  // A sign, leading whitespace or an out-of-range number in any field.
+  for (const char* hostile :
+       {"-1", "+100", " 100", "\t100", "18446744073709551616",
+        "99999999999999999999", "100:+4", "100: 4", "100:4294967297",
+        "100:2147483648", "100:4:+5", "100:4: 5",
+        "100:4:18446744073709551615", "100:4:18446744073709551616"}) {
+    EXPECT_FALSE(perfmon::ParseSampleSpec(hostile, &c)) << hostile;
+  }
   EXPECT_EQ(c.interval_insts, 777u);
 }
 

@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "cpu/core.h"
 #include "isa/assembler.h"
@@ -271,6 +274,53 @@ TEST_F(TcacheFixture, EvictsWholesaleWhenOverCapacity) {
   for (int i = 0; i < 3; ++i) tc.NoteLoopEdge(loop_b);
   EXPECT_GE(tc.stats().flushes, 1u);
   EXPECT_LE(tc.total_steps(), cfg.max_cache_steps);
+}
+
+// --- COBRA_TJIT --------------------------------------------------------------
+
+// Sets COBRA_TJIT for one scope and restores the prior value (CI runs the
+// whole suite under COBRA_TJIT=off).
+class ScopedTjitEnv {
+ public:
+  explicit ScopedTjitEnv(const char* value) {
+    if (const char* prior = std::getenv("COBRA_TJIT")) prior_ = prior;
+    setenv("COBRA_TJIT", value, 1);
+  }
+  ~ScopedTjitEnv() {
+    if (prior_) {
+      setenv("COBRA_TJIT", prior_->c_str(), 1);
+    } else {
+      unsetenv("COBRA_TJIT");
+    }
+  }
+
+ private:
+  std::optional<std::string> prior_;
+};
+
+TEST(TjitEnv, AcceptsOnAndOffForms) {
+  TestOnlySetTjitEnabled(true);
+  for (const char* on : {"on", "1", ""}) {
+    ScopedTjitEnv env(on);
+    EXPECT_TRUE(TjitConfigFromEnv().enabled) << on;
+  }
+  for (const char* off : {"off", "0", "OFF"}) {
+    ScopedTjitEnv env(off);
+    EXPECT_FALSE(TjitConfigFromEnv().enabled) << off;
+  }
+}
+
+// A mistyped value must not silently leave the JIT on.
+TEST(TjitEnvDeathTest, RejectsUnknownValuesNamingTheAcceptedForms) {
+  for (const char* bad : {"no", "offf"}) {
+    EXPECT_DEATH(
+        {
+          setenv("COBRA_TJIT", bad, 1);
+          TjitConfigFromEnv();
+        },
+        std::string("COBRA_TJIT=") + bad + " is not one of on, 1, off, 0, OFF")
+        << bad;
+  }
 }
 
 // --- Side-exit exactness against the interpreter ----------------------------
